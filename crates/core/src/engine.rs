@@ -17,8 +17,9 @@
 //!   cone). A host may only *act* on ranges of its own shard; touching any
 //!   other range requires forwarding the operation to a host that stores it.
 //!   Because structures are *range-determined* (§2.1 — `S` and `U` uniquely
-//!   determine `D(S)`), the deterministic structure description itself is
-//!   shared read-only across the process; what is distributed, metered, and
+//!   determine `D(S)`), the one [`SkipWeb`] itself is shared read-only
+//!   across the process: hosts route over the very level sets, hyperlinks
+//!   and placement the builder produced. What is distributed, metered, and
 //!   paid for in messages is the *authority to act* on a range.
 //! * **Forwarding (§2.5).** A query enters at its origin item's root and
 //!   descends level by level. At each range the host asks the structure for
@@ -35,22 +36,26 @@
 //!   rewires, bottom-up, level by level — paying one message per host
 //!   crossing, exactly what the cost-model simulator meters in
 //!   [`SkipWeb::insert_with`] / [`SkipWeb::remove_with`]. The host that
-//!   completes the repair applies the structural change and publishes a new
-//!   topology snapshot.
+//!   completes the repair applies the structural change to a copy of the
+//!   web and publishes it as the next snapshot.
 //!
 //! # Consistency under concurrent churn
 //!
-//! Every in-flight operation carries an [`Arc`] of the immutable topology
-//! snapshot it was admitted under, and an update's repair ends in a single
-//! atomic snapshot swap. A query therefore *never observes a half-applied
-//! update*: it sees either the structure entirely before or entirely after
-//! each update — operations serialize at their snapshot-capture and
-//! snapshot-publish points, and old snapshots are reclaimed automatically
-//! when their last in-flight message drains. Concurrent updates are safe in
-//! any interleaving (each applies to the then-current authoritative web
-//! under a lock); their *message accounting* matches the simulator exactly
-//! when updates are admitted one at a time, which is what the parity suite
-//! pins down.
+//! The engine publishes one immutable snapshot at a time: an [`Arc`] of
+//! the web plus the placement it is served under. Every in-flight operation
+//! carries the snapshot it was admitted under, and an update's repair ends
+//! in a single atomic snapshot swap. A query therefore *never observes a
+//! half-applied update*: it sees either the structure entirely before or
+//! entirely after each update — operations serialize at their
+//! snapshot-capture and snapshot-publish points, and old snapshots are
+//! reclaimed automatically when their last in-flight message drains. The
+//! applier copies the web once per turn that changes it (`Arc::make_mut`
+//! while the published snapshot still shares it); publishes that leave the
+//! web unchanged — heal, decommission, spawn-host, rejoin — share it in
+//! O(1). Concurrent updates are safe in any interleaving (each applies to
+//! the then-current web under a lock); their *message accounting* matches
+//! the simulator exactly when updates are admitted one at a time, which is
+//! what the parity suite pins down.
 //!
 //! Each operation carries a correlation id, so one client can keep many
 //! operations in flight concurrently and match replies as they arrive out
@@ -81,7 +86,7 @@
 //!   the blocking [`query`](DistributedSkipWeb::query) entry point
 //!   resubmits once when it times out while a host is dead.
 //! * **Live membership changes.** [`DistributedSkipWeb::decommission`]
-//!   re-homes a leaving host's blocks (a new topology snapshot excludes it)
+//!   re-homes a leaving host's blocks (a new snapshot's placement excludes it)
 //!   before the runtime marks it as draining, so nothing is lost;
 //!   [`DistributedSkipWeb::spawn_host`] grows the fabric and rebalances
 //!   onto the new host; [`DistributedSkipWeb::heal`] re-homes around hosts
@@ -91,7 +96,7 @@
 //!   up simply by seeing the next snapshot.
 //!
 //! [`DistributedSkipWeb::health`] reports the whole picture: alive / dead /
-//! decommissioned hosts, the replication factor, and the topology version.
+//! decommissioned hosts, the replication factor, and the snapshot version.
 //!
 //! # Batched operations and scatter-gather (§2.5 congestion)
 //!
@@ -162,13 +167,12 @@ use skipweb_net::wan::{SimWanConfig, SimWanTransport};
 use skipweb_net::{HostId, HostTraffic, TransportStats};
 use skipweb_structures::traits::{RangeDetermined, RangeId};
 
-use crate::levels::parent_key;
-use crate::placement::{Blocking, Replication};
-use crate::skipweb::SkipWeb;
+use crate::placement::Replication;
+use crate::skipweb::{LevelSet, SkipWeb};
 
 /// Globally unique address of a range: level, set index, range index — the
 /// "address" half of the paper's `(host, address)` pointers (§2.3). Refs are
-/// only meaningful relative to one topology snapshot; every in-flight
+/// only meaningful relative to one snapshot of the web; every in-flight
 /// message carries the snapshot its refs resolve against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GlobalRef {
@@ -327,7 +331,7 @@ pub(crate) enum UpdatePhase {
     },
 }
 
-/// One in-flight operation of the engine. Carries the topology snapshot the
+/// One in-flight operation of the engine. Carries the snapshot the
 /// operation was admitted under, so its [`GlobalRef`]s stay valid across
 /// concurrent updates.
 #[derive(Debug)]
@@ -337,7 +341,7 @@ pub struct EngineMsg<D: Routable> {
     pub(crate) client: ClientId,
     pub(crate) corr: u64,
     pub(crate) hops: u32,
-    pub(crate) topo: Arc<Topology<D>>,
+    pub(crate) snap: Arc<Snapshot<D>>,
 }
 
 /// The wire envelope hosts exchange: a single operation, or a coalesced
@@ -526,54 +530,65 @@ pub struct UpdateReply {
     pub hops: u32,
 }
 
-/// One level set as the engine sees it: the deterministic structure
-/// description, its down-hyperlinks, and the (physical) hosts storing each
-/// range.
+/// One immutable published snapshot: the web itself plus the placement it
+/// is served under. The current snapshot is swapped atomically when an
+/// update applies or the membership changes; every in-flight message holds
+/// the snapshot it routes under, so an old snapshot (and, unless a newer
+/// one shares it, its web) is reclaimed when its last message drains.
 #[derive(Debug)]
-struct TopoSet<D: RangeDetermined> {
-    structure: D,
-    /// Per range: hyperlinks into the parent set one level down. Empty at
-    /// level 0.
-    down: Vec<Vec<RangeId>>,
-    /// Per range: the hosts storing a copy (owner-hosted: exactly one;
-    /// bucketed: every block host whose cone the range belongs to).
-    hosts: Vec<Vec<HostId>>,
-    /// Index of the parent set one level down (0 at level 0).
-    parent: u32,
-}
-
-/// One immutable snapshot of the routing topology. The current snapshot is
-/// swapped atomically when an update applies or the membership changes;
-/// every in-flight message holds the snapshot it routes under, so old
-/// snapshots are reclaimed when their last message drains.
-#[derive(Debug)]
-pub(crate) struct Topology<D: RangeDetermined> {
-    levels: Vec<Vec<TopoSet<D>>>,
-    /// Per level: set key → set index, for locating an item's set during
-    /// the bottom-up repair walk.
-    key_to_set: Vec<HashMap<u64, u32>>,
-    /// Item → level bit string, for remove repairs and duplicate checks.
-    membership: BTreeMap<D::Item, u64>,
-    blocking: Blocking,
-    /// Per ground item: the host and address where its operations start
-    /// (the "root node for that host" of §1.1).
-    origins: Vec<(HostId, GlobalRef)>,
+pub(crate) struct Snapshot<D: RangeDetermined> {
+    /// The one authoritative web: its level sets, hyperlinks, ground set
+    /// and bit strings are exactly what hosts route over.
+    pub(crate) web: Arc<SkipWeb<D>>,
+    /// The logical→physical host fold this snapshot routes under, with
+    /// every excluded host (decommissioned, dead at publish) re-homed.
+    pub(crate) placement: PlacementCtl,
     /// Monotone snapshot counter: every publish (update apply,
     /// decommission, spawn-host, heal) bumps it, so replicas that routed an
     /// operation under an old snapshot can tell they were stale.
     pub(crate) version: u64,
 }
 
-impl<D: RangeDetermined> Topology<D> {
-    fn set(&self, at: GlobalRef) -> &TopoSet<D> {
-        &self.levels[at.level as usize][at.set as usize]
+impl<D: RangeDetermined> Snapshot<D> {
+    fn set(&self, at: GlobalRef) -> &LevelSet<D> {
+        &self.web.level_structs()[at.level as usize].sets[at.set as usize]
+    }
+
+    /// A range's copies (`LevelSet::range_host`) folded onto physical
+    /// hosts, primary first. Folding can alias distinct logical hosts, so a
+    /// host may repeat; every caller only tests membership or takes the
+    /// first match, which repeats leave unchanged.
+    fn hosts<'a>(&'a self, copies: &'a [HostId]) -> impl Iterator<Item = HostId> + Clone + 'a {
+        copies.iter().map(|&h| self.placement.fold(h))
+    }
+
+    /// Where operations from ground item `g` start: its top-level entry
+    /// range and that range's primary host (the "root node for that host"
+    /// of §1.1).
+    fn origin(&self, g: usize) -> (HostId, GlobalRef) {
+        let levels = self.web.level_structs();
+        let top = levels.len() - 1;
+        let level = &levels[top];
+        let set = level.set_of_item[g];
+        let entry = level.sets[set as usize]
+            .structure
+            .entry_of_item(level.local_of_item[g] as usize);
+        let at = GlobalRef {
+            level: top as u16,
+            set,
+            range: entry.0,
+        };
+        let primary = self.set(at).range_host[entry.index()][0];
+        (self.placement.fold(primary), at)
     }
 }
 
 /// How the web's logical hosts map onto physical actor threads: the fold
 /// modulus plus the hosts excluded from placement (decommissioned, or dead
-/// hosts healed around). Part of the engine's evolving state, serialized by
-/// the state lock.
+/// hosts healed around). The engine state holds the deliberate part
+/// (serialized by the state lock); each published snapshot holds the
+/// effective one, which also excludes the hosts dead at publish. Hosts are
+/// folded at lookup, on every hop.
 #[derive(Debug, Clone)]
 pub(crate) struct PlacementCtl {
     /// Number of physical actor threads; logical hosts fold onto them
@@ -594,7 +609,8 @@ impl PlacementCtl {
 
     /// Folds a logical host onto a physical one, re-homing off excluded
     /// hosts. With nothing excluded this is exactly `logical % phys`, so
-    /// owner-hosted accounting parity is untouched.
+    /// owner-hosted accounting parity is untouched. Runs on every hop.
+    #[inline]
     fn fold(&self, h: HostId) -> HostId {
         let phys = self.phys as u32;
         let mut p = h.0 % phys;
@@ -608,104 +624,22 @@ impl PlacementCtl {
     }
 }
 
-/// Builds a topology snapshot from `web` under the placement `ctl`. While
-/// the web's host count stays within `ctl.phys` and nothing is excluded,
-/// the fold is the identity, so owner-hosted message accounting matches the
-/// simulator exactly.
-pub(crate) fn build_topology<D: Routable + Send + Sync + 'static>(
-    web: &SkipWeb<D>,
-    ctl: &PlacementCtl,
-    version: u64,
-) -> Topology<D> {
-    let fold = |h: HostId| ctl.fold(h);
-    let levels = web.level_structs();
-    let topo_levels: Vec<Vec<TopoSet<D>>> = levels
-        .iter()
-        .enumerate()
-        .map(|(lvl, level)| {
-            level
-                .sets
-                .iter()
-                .map(|set| {
-                    let parent = if lvl == 0 {
-                        0
-                    } else {
-                        let pkey = parent_key(set.key, lvl as u32);
-                        levels[lvl - 1].set_by_key[&pkey]
-                    };
-                    TopoSet {
-                        structure: set.structure.clone(),
-                        down: set.down.clone(),
-                        hosts: set
-                            .range_host
-                            .iter()
-                            .map(|copies| {
-                                // Folding can alias distinct logical hosts;
-                                // keep first occurrences so the primary copy
-                                // stays copies[0].
-                                let mut mapped: Vec<HostId> = Vec::new();
-                                for h in copies.iter().copied().map(fold) {
-                                    if !mapped.contains(&h) {
-                                        mapped.push(h);
-                                    }
-                                }
-                                mapped
-                            })
-                            .collect(),
-                        parent,
-                    }
-                })
-                .collect()
-        })
-        .collect();
-    let key_to_set = levels.iter().map(|l| l.set_by_key.clone()).collect();
-    let membership = web
-        .ground()
-        .iter()
-        .cloned()
-        .zip(web.item_bits().iter().copied())
-        .collect();
-    let top = web.top_level() as usize;
-    let top_level = &levels[top];
-    let origins = (0..web.len())
-        .map(|g| {
-            let set_idx = top_level.set_of_item[g] as usize;
-            let set = &top_level.sets[set_idx];
-            let entry = set
-                .structure
-                .entry_of_item(top_level.local_of_item[g] as usize);
-            (
-                fold(set.range_host[entry.index()][0]),
-                GlobalRef {
-                    level: top as u16,
-                    set: set_idx as u32,
-                    range: entry.0,
-                },
-            )
-        })
-        .collect();
-    Topology {
-        levels: topo_levels,
-        key_to_set,
-        membership,
-        blocking: web.blocking(),
-        origins,
-        version,
-    }
-}
-
 /// Resolves a replicated range to a host from the perspective of `me`: the
 /// co-located copy when one exists (free to act on), else the nearest
 /// surviving copy in replica order (decommissioned hosts still serve while
 /// they drain; only crashed ones are skipped). `None` when every copy has
 /// crashed — more failures than the replication factor tolerates.
-fn pick_alive(copies: &[HostId], me: HostId, membership: &Membership) -> Option<HostId> {
-    if copies.contains(&me) {
+fn pick_alive(
+    mut copies: impl Iterator<Item = HostId> + Clone,
+    me: HostId,
+    membership: &Membership,
+) -> Option<HostId> {
+    if copies.clone().any(|h| h == me) {
         // The executing host is by definition functioning, whatever the
         // membership snapshot says.
         return Some(me);
     }
-    copies.iter().copied().find(|&h| membership.is_routable(h))
+    copies.find(|&h| membership.is_routable(h))
 }
 
 /// Outcome of processing an operation "as far as we can internally" (§2.5).
@@ -723,14 +657,14 @@ enum RouteOutcome {
 /// for free while the next range is in `me`'s shard and steering each hop
 /// toward an alive replica.
 fn route_step<D: Routable + Send + Sync + 'static>(
-    topo: &Topology<D>,
+    snap: &Snapshot<D>,
     me: HostId,
     mut at: GlobalRef,
     q: &D::Query,
     membership: &Membership,
 ) -> RouteOutcome {
     loop {
-        let set = topo.set(at);
+        let set = snap.set(at);
         let next = match set.structure.search_step(RangeId(at.range), q) {
             // Walk one range toward the locus within this level.
             Some(next) => GlobalRef {
@@ -748,7 +682,8 @@ fn route_step<D: Routable + Send + Sync + 'static>(
                     "hyperlinks of a subset range into its superset cannot be empty"
                 );
                 let parent_level = at.level - 1;
-                let parent = &topo.levels[parent_level as usize][set.parent as usize];
+                let parent =
+                    &snap.web.level_structs()[parent_level as usize].sets[set.parent as usize];
                 let entry = parent.structure.best_entry(candidates, q);
                 GlobalRef {
                     level: parent_level,
@@ -757,7 +692,8 @@ fn route_step<D: Routable + Send + Sync + 'static>(
                 }
             }
         };
-        match pick_alive(&topo.set(next).hosts[next.range as usize], me, membership) {
+        let copies = &snap.set(next).range_host[next.range as usize];
+        match pick_alive(snap.hosts(copies), me, membership) {
             Some(host) if host == me => {
                 // Process as far as we can internally (§2.5): free.
                 at = next;
@@ -777,31 +713,32 @@ fn route_step<D: Routable + Send + Sync + 'static>(
 /// range has no alive replica left (the update is unavailable under this
 /// snapshot). Empty trail for a remove whose item is not in the snapshot.
 fn repair_trail<D: Routable + Send + Sync + 'static>(
-    topo: &Topology<D>,
+    snap: &Snapshot<D>,
     item: &D::Item,
     kind: UpdateKind,
     membership: &Membership,
 ) -> Option<Vec<HostId>> {
     let bits = match kind {
         UpdateKind::Insert { bits } => bits,
-        UpdateKind::Remove => match topo.membership.get(item) {
-            Some(&bits) => bits,
+        UpdateKind::Remove => match snap.web.bits_of(item) {
+            Some(bits) => bits,
             None => return Some(Vec::new()),
         },
     };
     let probe_range = D::probe_range(item);
+    let levels = snap.web.level_structs();
     let mut trail = Vec::new();
     let complete = crate::skipweb::walk_update_neighbourhood(
         bits,
-        topo.blocking,
-        topo.levels.len(),
-        |level, key| topo.key_to_set[level as usize].get(&key).copied(),
+        snap.web.blocking(),
+        levels.len(),
+        |level, key| levels[level as usize].set_by_key.get(&key).copied(),
         |level, set_idx| {
-            let set = &topo.levels[level as usize][set_idx as usize];
+            let set = &levels[level as usize].sets[set_idx as usize];
             set.structure
                 .conflicts(&probe_range)
                 .into_iter()
-                .map(|r| set.hosts[r.index()].clone())
+                .map(|r| snap.hosts(&set.range_host[r.index()]).collect())
                 .collect()
         },
         |host| membership.is_routable(host),
@@ -814,11 +751,11 @@ fn repair_trail<D: Routable + Send + Sync + 'static>(
 /// entries are evicted FIFO once the ledger exceeds this.
 const APPLIED_OPS_CAP: usize = 1 << 16;
 
-/// The authoritative evolving web every host shares. Held only while an
-/// update applies (which includes the structural rebuild), so its lock is
-/// off the read path.
-struct EngineState<D: Routable + Send + Sync + 'static> {
-    web: SkipWeb<D>,
+/// The engine's evolving state besides the web (which lives in the
+/// published snapshot). Held while an update applies (which includes the
+/// structural rebuild) and while a snapshot publishes, so its lock is off
+/// the read path.
+struct EngineState {
     /// Draws origins and level bits for the convenience
     /// [`DistributedSkipWeb::insert`] / [`DistributedSkipWeb::remove`]
     /// entry points (explicit-bits APIs bypass it).
@@ -835,7 +772,7 @@ struct EngineState<D: Routable + Send + Sync + 'static> {
     applied_order: std::collections::VecDeque<(ClientId, u64)>,
 }
 
-impl<D: Routable + Send + Sync + 'static> EngineState<D> {
+impl EngineState {
     /// Records the outcome of a logical update the first time it reaches
     /// apply; replays keep the original outcome.
     fn record_outcome(&mut self, key: (ClientId, u64), applied: bool) {
@@ -889,7 +826,7 @@ pub struct DurableOp<'a, D: Routable> {
 /// durability`](FabricBuilder::durability) installs one per deployment;
 /// the applying host then calls [`append`](Self::append) **under the same
 /// state lock as the structural change** (`apply_insert_batch` /
-/// `apply_remove_batch`), before the new topology snapshot publishes. Log
+/// `apply_remove_batch`), before the new snapshot publishes. Log
 /// order therefore equals apply order, and no operation can be observed by
 /// queries before it is logged.
 ///
@@ -904,46 +841,51 @@ pub trait Durability<D: Routable + Send + Sync + 'static>: Send + Sync {
 }
 
 struct Shared<D: Routable + Send + Sync + 'static> {
-    state: Mutex<EngineState<D>>,
-    /// The current topology snapshot, in its own cell so submits only pay
-    /// an `Arc` clone — never a wait on an in-progress rebuild. Swapped by
-    /// the applier *while still holding the state lock* (lock order is
-    /// always `state` then `topo`), so publish order equals apply order.
-    topo: Mutex<Arc<Topology<D>>>,
+    state: Mutex<EngineState>,
+    /// The current snapshot, in its own cell so submits only pay an `Arc`
+    /// clone — never a wait on an in-progress rebuild. Swapped by the
+    /// applier *while still holding the state lock* (lock order is always
+    /// `state` then `snapshot`), so publish order equals apply order.
+    snapshot: Mutex<Arc<Snapshot<D>>>,
     /// Write-ahead sink fed by the apply path, when the deployment was
     /// built with one ([`FabricBuilder::durability`]).
     durability: Option<Arc<dyn Durability<D>>>,
     /// The wait-and-retry policy newly registered clients start with
     /// ([`FabricBuilder::timeouts`]).
     default_timeouts: Timeouts,
-    /// Worker threads for the apply path's dirty-set rebuild stage
-    /// ([`FabricBuilder::apply_threads`]); `1` repairs on the applying
-    /// host's own actor thread.
-    apply_threads: usize,
 }
 
 impl<D: Routable + Send + Sync + 'static> Shared<D> {
-    /// The current topology snapshot (cheap: one lock + `Arc` clone).
-    fn current_topo(&self) -> Arc<Topology<D>> {
-        self.topo.lock().clone()
+    /// The current snapshot (cheap: one lock + `Arc` clone).
+    fn current(&self) -> Arc<Snapshot<D>> {
+        self.snapshot.lock().clone()
     }
 
-    /// Rebuilds and publishes the topology from the current web and
-    /// placement, additionally excluding every host the membership reports
-    /// as dead or decommissioned, with a bumped snapshot version. The
-    /// caller must hold the state lock, so publish order equals apply
-    /// order.
-    fn republish(&self, st: &EngineState<D>, membership: &Membership) {
-        let mut ctl = st.placement.clone();
-        for h in membership.dead_hosts() {
-            ctl.excluded.insert(h.0);
-        }
-        for h in membership.decommissioned_hosts() {
-            ctl.excluded.insert(h.0);
-        }
-        let version = self.topo.lock().version + 1;
-        let next = Arc::new(build_topology(&st.web, &ctl, version));
-        *self.topo.lock() = next;
+    /// Publishes `web` — or, given `None`, the current snapshot's web,
+    /// shared in O(1) — under the current placement, additionally excluding
+    /// every host the membership reports as dead or decommissioned, with a
+    /// bumped snapshot version. The caller must hold the state lock, so
+    /// publish order equals apply order.
+    fn republish(&self, st: &EngineState, web: Option<Arc<SkipWeb<D>>>, membership: &Membership) {
+        let mut placement = st.placement.clone();
+        let gone = membership
+            .dead_hosts()
+            .into_iter()
+            .chain(membership.decommissioned_hosts());
+        placement.excluded.extend(gone.map(|h| h.0));
+        let retired = {
+            let mut current = self.snapshot.lock();
+            let next = Snapshot {
+                web: web.unwrap_or_else(|| Arc::clone(&current.web)),
+                placement,
+                version: current.version + 1,
+            };
+            std::mem::replace(&mut *current, Arc::new(next))
+        };
+        // Dropped only after the snapshot lock is released: when no
+        // in-flight message still holds it, this frees an O(n) web, and
+        // submits must not wait on that.
+        drop(retired);
     }
 }
 
@@ -1004,13 +946,13 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
             unreachable!("drive_query only sees queries");
         };
         let q = D::target(req);
-        match route_step(&msg.topo, me, msg.at, &q, membership) {
+        match route_step(&msg.snap, me, msg.at, &q, membership) {
             RouteOutcome::AtLocus(locus) => {
                 if gather && self.try_scatter(me, locus, &msg, ctx, membership, turn) {
                     return;
                 }
                 let answer = msg
-                    .topo
+                    .snap
                     .set(locus)
                     .structure
                     .answer(RangeId(locus.range), req);
@@ -1060,7 +1002,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         let EngineOp::Query { ref req, .. } = msg.op else {
             return false;
         };
-        let set = msg.topo.set(locus);
+        let set = msg.snap.set(locus);
         let Some(ranges) = set.structure.report_ranges(RangeId(locus.range), req) else {
             return false;
         };
@@ -1070,7 +1012,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         let mut local: Vec<RangeId> = Vec::new();
         let mut remote: BTreeMap<HostId, Vec<RangeId>> = BTreeMap::new();
         for r in ranges {
-            match pick_alive(&set.hosts[r.index()], me, membership) {
+            match pick_alive(msg.snap.hosts(&set.range_host[r.index()]), me, membership) {
                 Some(h) if h == me => local.push(r),
                 Some(h) => remote.entry(h).or_default().push(r),
                 None => {
@@ -1106,7 +1048,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                     client: msg.client,
                     corr: msg.corr,
                     hops: msg.hops + 1,
-                    topo: Arc::clone(&msg.topo),
+                    snap: Arc::clone(&msg.snap),
                 },
                 TrafficClass::Query,
             );
@@ -1141,7 +1083,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         else {
             unreachable!("drive_scatter only sees scatters");
         };
-        let answer = msg.topo.set(msg.at).structure.partial_answer(ranges, req);
+        let answer = msg.snap.set(msg.at).structure.partial_answer(ranges, req);
         ctx.reply(
             msg.client,
             EngineReply {
@@ -1166,7 +1108,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         match u.phase {
             UpdatePhase::Route => {
                 let q = D::item_query(&u.item);
-                match route_step(&msg.topo, me, msg.at, &q, membership) {
+                match route_step(&msg.snap, me, msg.at, &q, membership) {
                     RouteOutcome::Forward { next, host } => {
                         msg.at = next;
                         msg.hops += 1;
@@ -1176,7 +1118,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                         // A duplicate insert (or a remove that lost its
                         // target to a concurrent update) stops at the locus,
                         // paying only the lookup — as in the simulator.
-                        let present = msg.topo.membership.contains_key(&u.item);
+                        let present = msg.snap.web.contains_item(&u.item);
                         let noop = match u.kind {
                             UpdateKind::Insert { .. } => present,
                             UpdateKind::Remove => !present,
@@ -1208,7 +1150,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                             // The repair trail is computed exactly once,
                             // here at repair start, and rides in the
                             // message from now on.
-                            match repair_trail(&msg.topo, &u.item, u.kind, membership) {
+                            match repair_trail(&msg.snap, &u.item, u.kind, membership) {
                                 Some(trail) => {
                                     self.continue_repair(me, 0, trail, msg, membership, turn)
                                 }
@@ -1282,7 +1224,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
     /// structural change that completed its repair here — consecutive
     /// same-kind runs install with **one** structural rebuild each
     /// ([`SkipWeb::apply_insert_batch`]) and the whole group publishes
-    /// **one** new topology snapshot — then reply per op. In-flight
+    /// **one** new snapshot — then reply per op. In-flight
     /// operations keep their old snapshots, so none of them ever observes
     /// an update half-applied.
     ///
@@ -1317,6 +1259,11 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
         let mut outcomes: Vec<bool> = vec![false; n];
         {
             let st = &mut *self.shared.state.lock();
+            // The web this turn applies to. The published snapshot shares
+            // it, so the first run that changes it pays the turn's one O(n)
+            // copy (`Arc::make_mut`); runs that cannot change it skip the
+            // apply, and a turn that changes nothing copies nothing.
+            let mut web = Arc::clone(&self.shared.current().web);
             let mut any_applied = false;
             // Ops that reach the apply step this turn (ledger echoes are
             // excluded): what a durability sink gets to log.
@@ -1349,16 +1296,18 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                         let UpdateKind::Insert { bits } = ops[j].0 else {
                             unreachable!("insert runs hold inserts");
                         };
-                        if st.web.base().admissible(&ops[j].1) {
+                        if web.base().admissible(&ops[j].1) {
                             batch.push((ops[j].1.clone(), bits));
                             slots.push(j);
                         } else {
                             st.record_outcome(metas[j].3, false);
                         }
                     }
-                    let applied = st
-                        .web
-                        .apply_insert_batch_threads(batch, self.shared.apply_threads);
+                    let applied = if batch.iter().any(|(item, _)| !web.contains_item(item)) {
+                        Arc::make_mut(&mut web).apply_insert_batch(batch)
+                    } else {
+                        vec![false; batch.len()]
+                    };
                     for (j, a) in slots.into_iter().zip(applied) {
                         outcomes[j] = a;
                         st.record_outcome(metas[j].3, a);
@@ -1366,9 +1315,11 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                     }
                 } else {
                     let items: Vec<D::Item> = run.iter().map(|&j| ops[j].1.clone()).collect();
-                    let applied = st
-                        .web
-                        .apply_remove_batch_threads(&items, self.shared.apply_threads);
+                    let applied = if items.iter().any(|item| web.contains_item(item)) {
+                        Arc::make_mut(&mut web).apply_remove_batch(&items)
+                    } else {
+                        vec![false; items.len()]
+                    };
                     for (&j, a) in run.iter().zip(applied) {
                         outcomes[j] = a;
                         st.record_outcome(metas[j].3, a);
@@ -1401,9 +1352,9 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
             }
             if any_applied {
                 // Publish while still holding the state lock so snapshot
-                // order equals apply order; the topo lock itself is only
-                // held for the pointer swap.
-                self.shared.republish(st, membership);
+                // order equals apply order; the snapshot lock itself is
+                // only held for the pointer swap.
+                self.shared.republish(st, Some(web), membership);
             }
         }
         for (i, (client, corr, hops, _)) in metas.into_iter().enumerate() {
@@ -1751,7 +1702,6 @@ enum Threads {
 /// [`capacity`](Self::capacity)), replication override
 /// ([`replicate`](Self::replicate)), transport ([`wan`](Self::wan) /
 /// [`transport`](Self::transport) / [`spawn_tcp`](Self::spawn_tcp)),
-/// apply-path parallelism ([`apply_threads`](Self::apply_threads)),
 /// client timeout policy ([`timeouts`](Self::timeouts)), and durability
 /// ([`durability`](Self::durability) /
 /// [`restore_ledger`](Self::restore_ledger)) — then
@@ -1777,7 +1727,6 @@ pub struct FabricBuilder<'w, D: Routable + Send + Sync + 'static> {
     timeouts: Timeouts,
     durability: Option<Arc<dyn Durability<D>>>,
     ledger: Vec<((ClientId, u64), bool)>,
-    apply_threads: usize,
 }
 
 impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
@@ -1793,24 +1742,7 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
             timeouts: Timeouts::DEFAULT,
             durability: None,
             ledger: Vec::new(),
-            apply_threads: 1,
         }
-    }
-
-    /// Fans the apply path's dirty-set rebuild stage out over `t` worker
-    /// threads (default 1: the applying host repairs on its own actor
-    /// thread). The repaired structure is byte-identical at any thread
-    /// count — only the wall-clock cost of large batches changes — and the
-    /// workers live only for the duration of one apply, inside the state
-    /// lock, so snapshot-publish and WAL ordering are untouched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `t` is zero.
-    pub fn apply_threads(mut self, t: usize) -> Self {
-        assert!(t > 0, "the apply path needs at least one thread");
-        self.apply_threads = t;
-        self
     }
 
     /// Folds the web's logical hosts onto at most `hosts` physical actor
@@ -1920,10 +1852,14 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
         }
     }
 
-    fn build_shared(&self, web: &SkipWeb<D>, capacity: usize) -> Arc<Shared<D>> {
+    fn build_shared(&self, web: SkipWeb<D>, capacity: usize) -> Arc<Shared<D>> {
         assert!(capacity > 0, "a network needs at least one host");
         let placement = PlacementCtl::new(capacity);
-        let topo = Arc::new(build_topology(web, &placement, 0));
+        let snapshot = Snapshot {
+            web: Arc::new(web),
+            placement: placement.clone(),
+            version: 0,
+        };
         let mut applied_ops = HashMap::new();
         let mut applied_order = std::collections::VecDeque::new();
         for &(key, applied) in &self.ledger {
@@ -1933,16 +1869,14 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
         }
         Arc::new(Shared {
             state: Mutex::new(EngineState {
-                web: web.clone(),
                 rng: StdRng::seed_from_u64(0x736b_6970_7765_6221),
                 placement,
                 applied_ops,
                 applied_order,
             }),
-            topo: Mutex::new(topo),
+            snapshot: Mutex::new(Arc::new(snapshot)),
             durability: self.durability.clone(),
             default_timeouts: self.timeouts,
-            apply_threads: self.apply_threads,
         })
     }
 
@@ -1950,7 +1884,7 @@ impl<'w, D: Routable + Send + Sync + 'static> FabricBuilder<'w, D> {
     pub fn spawn(self) -> DistributedSkipWeb<D> {
         let web = self.resolve_web();
         let capacity = self.resolve_capacity(&web);
-        let shared = self.build_shared(&web, capacity);
+        let shared = self.build_shared(web.into_owned(), capacity);
         let runtime = match self.transport {
             Some(transport) => {
                 Runtime::spawn_with_transport(capacity, transport, |_h| EngineActor {
@@ -1978,7 +1912,7 @@ impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D>
     ///
     /// Every process must be started from the **same** ground set and build
     /// seed: skip-webs are range-determined (§2.1), so each process
-    /// rebuilds an identical topology locally and the wire carries only
+    /// rebuilds an identical web locally and the wire carries only
     /// operation envelopes, never structure. Because each process also
     /// holds its own engine state, TCP deployments serve **query**
     /// workloads; updates require a single-process transport (channel or
@@ -2008,13 +1942,13 @@ impl<'w, D: crate::wire::WireCodec + Send + Sync + 'static> FabricBuilder<'w, D>
     pub fn spawn_tcp(self, cfg: TcpConfig) -> std::io::Result<DistributedSkipWeb<D>> {
         let web = self.resolve_web();
         let capacity = cfg.owners.len().max(1);
-        let shared = self.build_shared(&web, capacity);
+        let shared = self.build_shared(web.into_owned(), capacity);
         let codec = {
             let enc_shared = Arc::clone(&shared);
             TcpCodec {
                 encode_msg: Box::new(|m: &FabricMsg<D>| crate::wire::encode_fabric_msg(m)),
                 decode_msg: Box::new(move |b: &[u8]| {
-                    crate::wire::decode_fabric_msg(b, &enc_shared.current_topo())
+                    crate::wire::decode_fabric_msg(b, &enc_shared.current())
                 }),
                 encode_reply: Box::new(|r: &EngineReply<D>| crate::wire::encode_reply(r)),
                 decode_reply: Box::new(|b: &[u8]| crate::wire::decode_reply(b)),
@@ -2116,17 +2050,14 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         req: D::Request,
         gather: bool,
     ) -> Result<u64, RuntimeError> {
-        let topo = self.shared.current_topo();
-        assert!(
-            origin_item < topo.origins.len(),
-            "origin item out of bounds"
-        );
+        let snap = self.shared.current();
+        assert!(origin_item < snap.web.len(), "origin item out of bounds");
         let corr = client.next_corr.fetch_add(1, Ordering::Relaxed);
         // A host can die between the membership check and the send; the
         // failed send proves the fresh membership now reports it dead, so
         // re-resolving converges on a replica (or on Unavailable).
         for _ in 0..4 {
-            let (host, at) = self.entry_point(&topo, origin_item)?;
+            let (host, at) = self.entry_point(&snap, origin_item)?;
             match client.inner.send(
                 host,
                 FabricMsg::One(EngineMsg {
@@ -2138,7 +2069,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
                     client: client.id(),
                     corr,
                     hops: 0,
-                    topo: Arc::clone(&topo),
+                    snap: Arc::clone(&snap),
                 }),
             ) {
                 Ok(()) => return Ok(corr),
@@ -2172,11 +2103,8 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         origin_item: usize,
         reqs: Vec<D::Request>,
     ) -> Result<Vec<u64>, RuntimeError> {
-        let topo = self.shared.current_topo();
-        assert!(
-            origin_item < topo.origins.len(),
-            "origin item out of bounds"
-        );
+        let snap = self.shared.current();
+        assert!(origin_item < snap.web.len(), "origin item out of bounds");
         if reqs.is_empty() {
             return Ok(Vec::new());
         }
@@ -2188,7 +2116,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         // envelope): rebuild against the fresh membership and retry, as in
         // `submit`.
         for _ in 0..4 {
-            let (host, at) = self.entry_point(&topo, origin_item)?;
+            let (host, at) = self.entry_point(&snap, origin_item)?;
             let ops: Vec<EngineMsg<D>> = reqs
                 .iter()
                 .zip(&corrs)
@@ -2201,7 +2129,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
                     client: client.id(),
                     corr,
                     hops: 0,
-                    topo: Arc::clone(&topo),
+                    snap: Arc::clone(&snap),
                 })
                 .collect();
             match client.inner.send(host, Self::envelope(ops)) {
@@ -2223,21 +2151,19 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         }
     }
 
-    /// Resolves `origin_item`'s entry host under `topo`, failing over to an
+    /// Resolves `origin_item`'s entry host under `snap`, failing over to an
     /// alive replica of the origin range when the home host is dead.
     fn entry_point(
         &self,
-        topo: &Topology<D>,
+        snap: &Snapshot<D>,
         origin_item: usize,
     ) -> Result<(HostId, GlobalRef), RuntimeError> {
-        let (host, at) = topo.origins[origin_item];
+        let (host, at) = snap.origin(origin_item);
         let membership = self.runtime.membership();
         if membership.is_routable(host) {
             return Ok((host, at));
         }
-        topo.set(at).hosts[at.range as usize]
-            .iter()
-            .copied()
+        snap.hosts(&snap.set(at).range_host[at.range as usize])
             .find(|&h| membership.is_routable(h))
             .map(|h| (h, at))
             .ok_or(RuntimeError::Unavailable)
@@ -2487,17 +2413,17 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         kind: UpdateKind,
         item: D::Item,
     ) -> Result<u64, RuntimeError> {
-        let topo = self.shared.current_topo();
-        self.submit_update_at(client, topo, origin, kind, item, None)
+        let snap = self.shared.current();
+        self.submit_update_at(client, snap, origin, kind, item, None)
     }
 
-    /// Resolves where an update enters the fabric under `topo`: the origin's
+    /// Resolves where an update enters the fabric under `snap`: the origin's
     /// root for the lookup phase, or the head of the repair trail when the
     /// simulator's lookup rule skips the lookup (empty web, absent remove,
     /// single-item web).
     fn plan_update(
         &self,
-        topo: &Topology<D>,
+        snap: &Snapshot<D>,
         origin: usize,
         kind: UpdateKind,
         item: &D::Item,
@@ -2505,12 +2431,12 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         // Mirror the simulator's lookup rule: inserts route on a non-empty
         // web; removes route when the item is present and not the last one.
         let routes = match kind {
-            UpdateKind::Insert { .. } => !topo.origins.is_empty(),
-            UpdateKind::Remove => topo.origins.len() > 1 && topo.membership.contains_key(item),
+            UpdateKind::Insert { .. } => !snap.web.is_empty(),
+            UpdateKind::Remove => snap.web.len() > 1 && snap.web.contains_item(item),
         };
         if routes {
-            assert!(origin < topo.origins.len(), "origin item out of bounds");
-            let (host, at) = self.entry_point(topo, origin)?;
+            assert!(origin < snap.web.len(), "origin item out of bounds");
+            let (host, at) = self.entry_point(snap, origin)?;
             Ok((host, at, UpdatePhase::Route))
         } else {
             // No lookup phase: enter the repair trail directly. The client
@@ -2518,7 +2444,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
             // still equal the simulator's messages.
             let membership = self.runtime.membership();
             let trail =
-                repair_trail(topo, item, kind, &membership).ok_or(RuntimeError::Unavailable)?;
+                repair_trail(snap, item, kind, &membership).ok_or(RuntimeError::Unavailable)?;
             let host = match trail.first().copied() {
                 Some(h) => h,
                 // Empty trail (e.g. an absent remove): any alive host can
@@ -2548,7 +2474,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     fn submit_update_at(
         &self,
         client: &EngineClient<D>,
-        topo: Arc<Topology<D>>,
+        snap: Arc<Snapshot<D>>,
         origin: usize,
         kind: UpdateKind,
         item: D::Item,
@@ -2560,7 +2486,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         // the send fail fast, and re-resolving against the now-updated
         // membership converges on a replica.
         for _ in 0..4 {
-            let (host, at, phase) = self.plan_update(&topo, origin, kind, &item)?;
+            let (host, at, phase) = self.plan_update(&snap, origin, kind, &item)?;
             match client.inner.send(
                 host,
                 FabricMsg::One(EngineMsg {
@@ -2574,7 +2500,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
                     client: client.id(),
                     corr,
                     hops: 0,
-                    topo: Arc::clone(&topo),
+                    snap: Arc::clone(&snap),
                 }),
             ) {
                 Ok(()) => return Ok(corr),
@@ -2597,7 +2523,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         client: &EngineClient<D>,
         ops: &[(usize, UpdateKind, D::Item)],
     ) -> Result<Vec<u64>, RuntimeError> {
-        let topo = self.shared.current_topo();
+        let snap = self.shared.current();
         let corrs: Vec<u64> = ops
             .iter()
             .map(|_| client.next_corr.fetch_add(1, Ordering::Relaxed))
@@ -2615,7 +2541,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
                 client: client.id(),
                 corr: corrs[i],
                 hops: 0,
-                topo: Arc::clone(&topo),
+                snap: Arc::clone(&snap),
             }
         };
         // Plan every op under the shared snapshot, then bucket by entry
@@ -2624,7 +2550,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         let mut plans: Vec<(GlobalRef, UpdatePhase)> = Vec::with_capacity(ops.len());
         let sent = (|| -> Result<(), RuntimeError> {
             for (i, (origin, kind, item)) in ops.iter().enumerate() {
-                let (host, at, phase) = self.plan_update(&topo, *origin, *kind, item)?;
+                let (host, at, phase) = self.plan_update(&snap, *origin, *kind, item)?;
                 groups.entry(host).or_default().push(i);
                 plans.push((at, phase));
             }
@@ -2648,7 +2574,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
                     let (origin, kind, item) = &ops[i];
                     let mut delivered = false;
                     for _ in 0..4 {
-                        let (h, at, phase) = self.plan_update(&topo, *origin, *kind, item)?;
+                        let (h, at, phase) = self.plan_update(&snap, *origin, *kind, item)?;
                         match client.inner.send(h, FabricMsg::One(make(i, at, phase))) {
                             Ok(()) => {
                                 delivered = true;
@@ -2727,14 +2653,14 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
                     // Abandon the first attempt: its late reply (if it was
                     // merely slow, not lost) is dropped and counted.
                     client.mark_stale(corr);
-                    let topo = self.shared.current_topo();
+                    let snap = self.shared.current();
                     // The snapshot may have shrunk since the origin was
                     // chosen; clamp it — the lookup origin only seeds the
                     // descent, any valid item works.
-                    let origin = origin.min(topo.origins.len().saturating_sub(1));
+                    let origin = origin.min(snap.web.len().saturating_sub(1));
                     corr = self.submit_update_at(
                         client,
-                        topo,
+                        snap,
                         origin,
                         kind,
                         item.clone(),
@@ -2810,15 +2736,15 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     ) -> Result<UpdateReply, RuntimeError> {
         // Draw the origin against the same snapshot the update is admitted
         // under, so a concurrent apply can never shrink it out of bounds.
-        let topo = self.shared.current_topo();
-        let len = topo.origins.len();
+        let snap = self.shared.current();
+        let len = snap.web.len();
         let (origin, bits) = {
             let mut st = self.shared.state.lock();
             let origin = if len > 0 { st.rng.gen_range(0..len) } else { 0 };
             (origin, st.rng.gen())
         };
         let kind = UpdateKind::Insert { bits };
-        let corr = self.submit_update_at(client, topo, origin, kind, item.clone(), None)?;
+        let corr = self.submit_update_at(client, snap, origin, kind, item.clone(), None)?;
         self.collect_update(client, corr, corr, origin, kind, &item)
     }
 
@@ -2836,15 +2762,15 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         item: D::Item,
     ) -> Result<UpdateReply, RuntimeError> {
         // Same snapshot for origin draw and admission (see `insert`).
-        let topo = self.shared.current_topo();
-        let len = topo.origins.len();
+        let snap = self.shared.current();
+        let len = snap.web.len();
         let origin = if len > 0 {
             self.shared.state.lock().rng.gen_range(0..len)
         } else {
             0
         };
         let corr =
-            self.submit_update_at(client, topo, origin, UpdateKind::Remove, item.clone(), None)?;
+            self.submit_update_at(client, snap, origin, UpdateKind::Remove, item.clone(), None)?;
         self.collect_update(client, corr, corr, origin, UpdateKind::Remove, &item)
     }
 
@@ -2892,7 +2818,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         client: &EngineClient<D>,
         items: Vec<D::Item>,
     ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let len = self.shared.current_topo().origins.len();
+        let len = self.len();
         let planned: Vec<(usize, UpdateKind, D::Item)> = {
             let mut st = self.shared.state.lock();
             items
@@ -2943,7 +2869,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         client: &EngineClient<D>,
         items: Vec<D::Item>,
     ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let len = self.shared.current_topo().origins.len();
+        let len = self.len();
         let planned: Vec<(usize, UpdateKind, D::Item)> = {
             let mut st = self.shared.state.lock();
             items
@@ -2984,12 +2910,12 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
 
     /// A snapshot of the current ground set, in canonical order.
     pub fn ground(&self) -> Vec<D::Item> {
-        self.shared.state.lock().web.ground().to_vec()
+        self.shared.current().web.ground().to_vec()
     }
 
     /// Number of items currently stored.
     pub fn len(&self) -> usize {
-        self.shared.state.lock().web.len()
+        self.shared.current().web.len()
     }
 
     /// Whether the web currently stores no items.
@@ -3022,16 +2948,16 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     }
 
     /// A health report for the fabric: host liveness, the replication
-    /// factor in effect, and the current topology-snapshot version.
+    /// factor in effect, and the current snapshot version.
     pub fn health(&self) -> EngineHealth {
         let membership = self.runtime.membership();
-        let replication = self.shared.state.lock().web.replication().k;
+        let snap = self.shared.current();
         EngineHealth {
             alive: membership.alive_hosts(),
             dead: membership.dead_hosts(),
             decommissioned: membership.decommissioned_hosts(),
-            replication,
-            topology_version: self.shared.current_topo().version,
+            replication: snap.web.replication().k,
+            topology_version: snap.version,
         }
     }
 
@@ -3044,8 +2970,8 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         self.runtime.kill(host);
     }
 
-    /// Gracefully removes `host` from the fabric: a new topology snapshot
-    /// re-homes every block it held (so no new operation routes to it),
+    /// Gracefully removes `host` from the fabric: a new snapshot re-homes
+    /// every block it held (so no new operation routes to it),
     /// and only then is the host marked as draining — operations already
     /// in flight under older snapshots still complete on it. Safe to call
     /// concurrently with queries and updates.
@@ -3067,7 +2993,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
             return Err(RuntimeError::Unavailable);
         }
         st.placement.excluded.insert(host.0);
-        self.shared.republish(st, &membership);
+        self.shared.republish(st, None, &membership);
         // Only after the re-homed snapshot is published does the host stop
         // being a routing target; everything already addressed to it under
         // old snapshots is still delivered and processed.
@@ -3084,17 +3010,18 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
             shared: Arc::clone(&self.shared),
         });
         st.placement.phys = host.index() + 1;
-        self.shared.republish(st, &self.runtime.membership());
+        self.shared.republish(st, None, &self.runtime.membership());
         host
     }
 
     /// Re-homes blocks away from hosts that have crashed since the last
-    /// snapshot: publishes a new topology whose placement excludes every
+    /// snapshot: publishes a new snapshot whose placement excludes every
     /// dead host, so even a `k = 1` web regains availability (any update
-    /// apply does the same implicitly).
+    /// apply does the same implicitly). The web itself is shared, not
+    /// copied.
     pub fn heal(&self) {
         let st = &*self.shared.state.lock();
-        self.shared.republish(st, &self.runtime.membership());
+        self.shared.republish(st, None, &self.runtime.membership());
     }
 
     /// The current ground set zipped with each item's level bit string, in
@@ -3102,12 +3029,12 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     /// recovery can rebuild the identical web, tower for tower
     /// ([`SkipWebBuilder::bits`](crate::skipweb::SkipWebBuilder::bits)).
     pub fn ground_with_bits(&self) -> Vec<(D::Item, u64)> {
-        let st = self.shared.state.lock();
-        st.web
+        let snap = self.shared.current();
+        snap.web
             .ground()
             .iter()
             .cloned()
-            .zip(st.web.item_bits().iter().copied())
+            .zip(snap.web.item_bits().iter().copied())
             .collect()
     }
 
@@ -3126,24 +3053,24 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     }
 
     /// Replaces the authoritative web and idempotence ledger with state
-    /// recovered from a log, publishing a fresh topology snapshot — the
+    /// recovered from a log, publishing it as a fresh snapshot — the
     /// state half of crash recovery. Pair with
     /// [`rejoin_host`](Self::rejoin_host) to bring the crashed hosts
     /// themselves back.
     pub fn restore(&self, web: SkipWeb<D>, ledger: Vec<((ClientId, u64), bool)>) {
         let st = &mut *self.shared.state.lock();
-        st.web = web;
         st.applied_ops.clear();
         st.applied_order.clear();
         for (key, applied) in ledger {
             st.record_outcome(key, applied);
         }
-        self.shared.republish(st, &self.runtime.membership());
+        self.shared
+            .republish(st, Some(Arc::new(web)), &self.runtime.membership());
     }
 
     /// Revives a crashed host in place (fresh mailbox and actor thread,
-    /// same id — see [`Runtime::revive`]) and publishes a topology
-    /// snapshot that routes to it again: the rejoin-with-state path, so a
+    /// same id — see [`Runtime::revive`]) and publishes a snapshot that
+    /// routes to it again: the rejoin-with-state path, so a
     /// recovered host returns to live membership instead of staying
     /// tombstoned forever. Returns `false` unless the host is currently
     /// dead.
@@ -3156,7 +3083,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
             },
         );
         if revived {
-            self.shared.republish(st, &self.runtime.membership());
+            self.shared.republish(st, None, &self.runtime.membership());
         }
         revived
     }
@@ -3198,7 +3125,7 @@ impl<D: crate::wire::WireCodec + Send + Sync + 'static> DistributedSkipWeb<D> {
 /// The fabric-health report returned by [`DistributedSkipWeb::health`]: the
 /// failover-relevant state in one read — which hosts can serve, which are
 /// gone, how many crashes the placement tolerates (`replication - 1`), and
-/// how many topology snapshots have been published.
+/// how many snapshots have been published.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineHealth {
     /// Hosts currently accepting new work.
@@ -3210,8 +3137,8 @@ pub struct EngineHealth {
     /// The replication factor `k` of the served web: any `k - 1` hosts may
     /// crash without losing availability.
     pub replication: usize,
-    /// Version of the currently published topology snapshot (bumped by
-    /// every update apply, decommission, spawn-host, and heal).
+    /// Version of the currently published snapshot (bumped by every update
+    /// apply, decommission, spawn-host, and heal).
     pub topology_version: u64,
 }
 
@@ -3568,7 +3495,7 @@ mod tests {
         let client = dist.client();
         client.set_timeouts(Timeouts::uniform(Duration::from_millis(300)));
         // A corrupt address makes host 5 die mid-update processing.
-        let topo = dist.shared.current_topo();
+        let snap = dist.shared.current();
         client
             .inner
             .send(
@@ -3588,7 +3515,7 @@ mod tests {
                     client: client.id(),
                     corr: 777,
                     hops: 0,
-                    topo,
+                    snap,
                 }),
             )
             .unwrap();
@@ -3735,6 +3662,76 @@ mod tests {
         );
         assert!(dist.insert(&client, 999).unwrap().applied);
         dist.shutdown();
+    }
+
+    #[test]
+    fn the_engine_keeps_one_web() {
+        let keys: Vec<u64> = (0..64).map(|i| i * 10).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(48).build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(4)
+            .spawn();
+        let spawned = dist.shared.current();
+        assert_eq!(spawned.version, 0);
+        assert_eq!(spawned.web.ground(), web.inner().ground());
+        // Publishes that leave the web unchanged share it: same allocation,
+        // one version bump each.
+        let steps: [(&str, &dyn Fn()); 3] = [
+            ("heal", &|| dist.heal()),
+            ("decommission", &|| dist.decommission(HostId(3)).unwrap()),
+            ("spawn_host", &|| {
+                dist.spawn_host();
+            }),
+        ];
+        for (name, step) in steps {
+            let before = dist.health().topology_version;
+            step();
+            assert!(
+                Arc::ptr_eq(&spawned.web, &dist.shared.current().web),
+                "{name} must reuse the web"
+            );
+            assert_eq!(dist.health().topology_version, before + 1, "{name}");
+        }
+        // An applied insert publishes a new web; a snapshot captured before
+        // it keeps reporting the old ground set.
+        let client = dist.client();
+        let old = dist.shared.current();
+        assert!(dist.insert(&client, 5).unwrap().applied);
+        let new = dist.shared.current();
+        assert!(!Arc::ptr_eq(&old.web, &new.web));
+        assert_eq!(old.web.ground(), web.inner().ground());
+        assert!(!old.web.contains_item(&5));
+        assert!(dist.ground().contains(&5));
+        // A no-op update copies and publishes nothing.
+        assert!(!dist.insert(&client, 5).unwrap().applied);
+        let after = dist.shared.current();
+        assert!(Arc::ptr_eq(&new.web, &after.web));
+        assert_eq!(after.version, new.version);
+        dist.shutdown();
+    }
+
+    #[test]
+    fn placement_fold_aliases_rehomes_and_falls_back() {
+        let mut ctl = PlacementCtl::new(4);
+        // Within `phys`, with nothing excluded, the fold is the identity …
+        for h in 0..4 {
+            assert_eq!(ctl.fold(HostId(h)), HostId(h));
+        }
+        // … and past it, logical hosts alias modulo `phys`.
+        assert_eq!(ctl.fold(HostId(5)), HostId(1));
+        assert_eq!(ctl.fold(HostId(11)), HostId(3));
+        // An excluded host re-homes to the next non-excluded host on the
+        // ring, wrapping around past the last one.
+        ctl.excluded.extend([3, 0]);
+        assert_eq!(ctl.fold(HostId(3)), HostId(1));
+        assert_eq!(ctl.fold(HostId(7)), HostId(1));
+        assert_eq!(ctl.fold(HostId(2)), HostId(2));
+        // With every host excluded there is nowhere to re-home: the plain
+        // modulo stands and routing fails fast on the dead host.
+        ctl.excluded.extend([1, 2]);
+        assert_eq!(ctl.fold(HostId(6)), HostId(2));
+        // A zero-thread placement is clamped to one thread.
+        assert_eq!(PlacementCtl::new(0).fold(HostId(9)), HostId(0));
     }
 
     #[test]
@@ -3910,11 +3907,11 @@ mod tests {
             .spawn();
         let client = dist.client();
         // First attempt of the logical insert lands normally.
-        let topo = dist.shared.current_topo();
+        let snap = dist.shared.current();
         let corr0 = dist
             .submit_update_at(
                 &client,
-                topo,
+                snap,
                 3,
                 UpdateKind::Insert { bits: 0xBEEF },
                 333,
@@ -3942,11 +3939,11 @@ mod tests {
         // recorded outcome and echoes it instead of re-inserting — without
         // the ledger this second attempt would double-apply and resurrect
         // the removed key.
-        let topo = dist.shared.current_topo();
+        let snap = dist.shared.current();
         let corr1 = dist
             .submit_update_at(
                 &client,
-                topo,
+                snap,
                 3,
                 UpdateKind::Insert { bits: 0xBEEF },
                 333,
@@ -3994,8 +3991,8 @@ mod tests {
         // behind the poison (lost with the crash → timeout → resubmit) or
         // the tombstone beats the send (failover at submit), the blocking
         // call must land the insert exactly once.
-        let topo = dist.shared.current_topo();
-        let (entry_host, _) = topo.origins[0];
+        let snap = dist.shared.current();
+        let (entry_host, _) = snap.origin(0);
         client
             .inner
             .send(
@@ -4013,7 +4010,7 @@ mod tests {
                     client: client.id(),
                     corr: u64::MAX,
                     hops: 0,
-                    topo: Arc::clone(&topo),
+                    snap: Arc::clone(&snap),
                 }),
             )
             .unwrap();

@@ -31,6 +31,10 @@ pub(crate) struct LevelSet<D: RangeDetermined> {
     /// onto every block host whose cone they belong to (§2.4.1 notes that
     /// "copies of some of these ranges may be stored on multiple hosts").
     pub range_host: Vec<Vec<HostId>>,
+    /// Index of the parent set one level down — the set this one was
+    /// sampled from, which its `down` hyperlinks point into (§2.3). 0 at
+    /// level 0.
+    pub parent: u32,
 }
 
 /// All sets of one level.
@@ -610,17 +614,12 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 !candidates.is_empty(),
                 "hyperlinks of a subset range into its superset cannot be empty"
             );
-            let parent_idx = self.parent_set_index(level as u32, set.key);
+            let parent_idx = set.parent as usize;
             let parent = &self.levels[level - 1].sets[parent_idx];
             entry = parent.structure.best_entry(candidates, q);
             level -= 1;
             set_idx = parent_idx;
         }
-    }
-
-    fn parent_set_index(&self, level: u32, key: u64) -> usize {
-        let pkey = parent_key(key, level);
-        self.levels[(level - 1) as usize].set_by_key[&pkey] as usize
     }
 
     /// Inserts `item`, charging the §4 bottom-up repair messages to `meter`.
@@ -1053,8 +1052,22 @@ impl<D: RangeDetermined> SkipWeb<D> {
         let links = self.install_sets(&plan, built);
         let downs = links.iter().map(|&j| self.exec_link(j)).collect();
         self.install_links(&links, downs);
+        self.link_parents();
         self.finish_hosts();
         self.debug_check_invariants();
+    }
+
+    /// Points every set above level 0 at its parent set one level down —
+    /// the index a descent follows. A repair that adds or drops sets shifts
+    /// the set indices of its level, so every rebuild and repair re-links.
+    fn link_parents(&mut self) {
+        for level in 1..self.levels.len() {
+            let (lower, upper) = self.levels.split_at_mut(level);
+            let below = &lower[level - 1];
+            for set in &mut upper[0].sets {
+                set.parent = below.set_by_key[&parent_key(set.key, level as u32)];
+            }
+        }
     }
 
     /// Debug-build-only invariant sweep after an incremental repair: a
@@ -1080,8 +1093,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
     ///   permutation consistent with each set's `ground`, and `set_by_key`
     ///   indexes the sets bijectively.
     /// * **Hyperlinks** — at level 0 all `down` lists are empty; above it,
-    ///   each range's `down` list equals its conflict list in the parent
-    ///   set one level down (§2.3).
+    ///   each set's `parent` indexes its parent set one level down, and
+    ///   each range's `down` list equals its conflict list there (§2.3).
     /// * **Placement** — every range of every set is hosted somewhere, the
     ///   copies are distinct, and all host ids (including `host_of_item`)
     ///   are in range.
@@ -1205,15 +1218,16 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     .then(|| {
                         let below = &self.levels[li as usize - 1];
                         let pkey = parent_key(set.key, li);
-                        below
-                            .set_by_key
-                            .get(&pkey)
-                            .map(|&pi| &below.sets[pi as usize])
-                            .ok_or_else(|| {
-                                format!(
-                                    "level {li} set {si}: no parent set keyed {pkey:#x} one level down"
-                                )
-                            })
+                        match below.set_by_key.get(&pkey) {
+                            Some(&pi) if pi == set.parent => Ok(&below.sets[pi as usize]),
+                            Some(&pi) => Err(format!(
+                                "level {li} set {si}: parent index {} but set {pi} is keyed {pkey:#x}",
+                                set.parent
+                            )),
+                            None => Err(format!(
+                                "level {li} set {si}: no parent set keyed {pkey:#x} one level down"
+                            )),
+                        }
                     })
                     .transpose()?;
                 for r in set.structure.range_ids() {
@@ -1303,6 +1317,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
             ground: job.members.clone(),
             down: vec![Vec::new(); num_ranges],
             range_host,
+            parent: 0,
         }
     }
 
@@ -1420,10 +1435,17 @@ impl<D: RangeDetermined> SkipWeb<D> {
 
     /// Whether `item` is stored — a binary search against the canonical
     /// ground order.
-    fn contains_item(&self, item: &D::Item) -> bool {
-        self.ground
+    pub(crate) fn contains_item(&self, item: &D::Item) -> bool {
+        self.bits_of(item).is_some()
+    }
+
+    /// The level bit string of `item`, or `None` when it is not stored.
+    pub(crate) fn bits_of(&self, item: &D::Item) -> Option<u64> {
+        let g = self
+            .ground
             .binary_search_by(|g| D::canonical_cmp(g, item))
-            .is_ok()
+            .ok()?;
+        Some(self.item_bits[g])
     }
 
     /// Per-item level bit strings, aligned with [`ground`](Self::ground).
@@ -1513,6 +1535,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     ground,
                     down: vec![Vec::new(); num_ranges],
                     range_host: vec![Vec::new(); num_ranges],
+                    parent: 0,
                 });
             }
             if n == 0 {
@@ -1525,6 +1548,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     ground: Vec::new(),
                     down: vec![Vec::new(); num_ranges],
                     range_host: vec![Vec::new(); num_ranges],
+                    parent: 0,
                 });
                 set_by_key.insert(0, 0);
             }
@@ -1550,6 +1574,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
 
         self.levels = levels;
+        self.link_parents();
         self.assign_hosts();
     }
 
@@ -1649,8 +1674,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 continue;
             }
             for set_idx in 0..self.levels[level_idx].sets.len() {
-                let key = self.levels[level_idx].sets[set_idx].key;
-                let parent_idx = self.parent_set_index(level_idx as u32, key);
+                let parent_idx = self.levels[level_idx].sets[set_idx].parent as usize;
                 for r_idx in 0..self.levels[level_idx].sets[set_idx].range_host.len() {
                     let mut hosts: Vec<HostId> = Vec::new();
                     for t in &self.levels[level_idx].sets[set_idx].down[r_idx] {
@@ -1731,8 +1755,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
         // Hyperlink references point across levels.
         for level_idx in 1..self.levels.len() {
             for set in &self.levels[level_idx].sets {
-                let parent_idx = self.parent_set_index(level_idx as u32, set.key);
-                let parent = &self.levels[level_idx - 1].sets[parent_idx];
+                let parent = &self.levels[level_idx - 1].sets[set.parent as usize];
                 for r in set.structure.range_ids() {
                     for (c, &host) in set.range_host[r.index()].iter().enumerate() {
                         let mut local = 0u64;
@@ -1772,8 +1795,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
 /// The threaded apply variants. Dirty sets hold disjoint item groups and
 /// each rebuild reads the spliced ground set immutably, so the repair's two
 /// heavy stages — set rebuilds and hyperlink recomputes — fan out across a
-/// [`std::thread::scope`] worker pool. Exposed to deployments as
-/// [`FabricBuilder::apply_threads`](crate::engine::FabricBuilder::apply_threads).
+/// [`std::thread::scope`] worker pool. The engine applies serially on the
+/// applying host's thread; these variants serve the rebuild-parity suite
+/// and the `repro rebuild` experiment.
 impl<D> SkipWeb<D>
 where
     D: RangeDetermined + Send + Sync,
@@ -1813,6 +1837,7 @@ where
         let links = self.install_sets_threads(&plan, built, threads);
         let downs = par_map(&links, threads, |&j| self.exec_link(j));
         self.install_links(&links, downs);
+        self.link_parents();
         self.finish_hosts();
         self.debug_check_invariants();
     }

@@ -22,13 +22,13 @@
 //!              | 2 · applied u8 | 3 (unavailable)
 //! ```
 //!
-//! One deliberate omission: the topology snapshot `Arc` every in-flight
-//! message carries is **not** serialized. Skip-webs are range-determined
-//! (§2.1 of the paper): the ground set and build seed uniquely determine
-//! the whole overlay, so every process of a deployment rebuilds an
-//! identical topology locally and the fabric-message decoder re-attaches the
-//! receiving process's own snapshot. Decoders never trust wire input:
-//! malformed bytes yield `None`, not a panic.
+//! One deliberate omission: the snapshot `Arc` (the web itself) every
+//! in-flight message carries is **not** serialized. Skip-webs are
+//! range-determined (§2.1 of the paper): the ground set and build seed
+//! uniquely determine the whole overlay, so every process of a deployment
+//! rebuilds an identical web locally and the fabric-message decoder
+//! re-attaches the receiving process's own snapshot. Decoders never trust
+//! wire input: malformed bytes yield `None`, not a panic.
 
 use std::sync::Arc;
 
@@ -38,7 +38,7 @@ use skipweb_structures::traits::RangeId;
 
 use crate::engine::{
     BatchMsg, EngineMsg, EngineOp, EngineReply, FabricMsg, GlobalRef, ReplyBody, Routable,
-    Topology, UpdateKind, UpdateOp, UpdatePhase,
+    Snapshot, UpdateKind, UpdateOp, UpdatePhase,
 };
 
 /// A [`Routable`] structure whose leaf types can cross process boundaries:
@@ -114,7 +114,7 @@ fn encode_engine_msg<D: WireCodec>(msg: &EngineMsg<D>, buf: &mut Vec<u8>) {
 
 fn decode_engine_msg<D: WireCodec>(
     r: &mut WireReader<'_>,
-    topo: &Arc<Topology<D>>,
+    snap: &Arc<Snapshot<D>>,
 ) -> Option<EngineMsg<D>> {
     let at = GlobalRef {
         level: r.read_u16()?,
@@ -180,11 +180,11 @@ fn decode_engine_msg<D: WireCodec>(
         client,
         corr,
         hops,
-        topo: Arc::clone(topo),
+        snap: Arc::clone(snap),
     })
 }
 
-/// Serializes a fabric envelope (without its topology snapshot — see the
+/// Serializes a fabric envelope (without its snapshot — see the
 /// [module docs](self)).
 pub(crate) fn encode_fabric_msg<D: WireCodec>(msg: &FabricMsg<D>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
@@ -205,20 +205,20 @@ pub(crate) fn encode_fabric_msg<D: WireCodec>(msg: &FabricMsg<D>) -> Vec<u8> {
 }
 
 /// Deserializes a fabric envelope, re-attaching the receiving process's
-/// own topology snapshot (identical on every process by
+/// own snapshot (identical on every process by
 /// range-determinism). Returns `None` on malformed or trailing bytes.
 pub(crate) fn decode_fabric_msg<D: WireCodec>(
     bytes: &[u8],
-    topo: &Arc<Topology<D>>,
+    snap: &Arc<Snapshot<D>>,
 ) -> Option<FabricMsg<D>> {
     let mut r = WireReader::new(bytes);
     let msg = match r.read_u8()? {
-        0 => FabricMsg::One(decode_engine_msg(&mut r, topo)?),
+        0 => FabricMsg::One(decode_engine_msg(&mut r, snap)?),
         1 => {
             let count = r.read_u32()? as usize;
             let mut ops = Vec::with_capacity(count.min(1024));
             for _ in 0..count {
-                ops.push(decode_engine_msg(&mut r, topo)?);
+                ops.push(decode_engine_msg(&mut r, snap)?);
             }
             FabricMsg::Batch(BatchMsg { ops })
         }
@@ -287,26 +287,30 @@ mod tests {
     use skipweb_structures::SortedLinkedList;
 
     use super::*;
-    use crate::engine::{build_topology, PlacementCtl};
+    use crate::engine::PlacementCtl;
     use crate::multidim::{PrefixAnswer, QuadtreeAnswer, QuadtreeRequest};
     use crate::skipweb::SkipWeb;
 
-    /// A tiny but real topology snapshot for decode to re-attach; its
+    /// A tiny but real snapshot for decode to re-attach; its
     /// contents are irrelevant to the codec (the wire never carries it).
-    fn topo<D>(items: Vec<D::Item>) -> Arc<Topology<D>>
+    fn topo<D>(items: Vec<D::Item>) -> Arc<Snapshot<D>>
     where
         D: WireCodec + Send + Sync + 'static,
         D::Item: Ord,
     {
         let web = SkipWeb::<D>::builder(items).build();
-        Arc::new(build_topology(&web, &PlacementCtl::new(2), 0))
+        Arc::new(Snapshot {
+            web: Arc::new(web),
+            placement: PlacementCtl::new(2),
+            version: 0,
+        })
     }
 
     /// Drives one envelope through encode → decode → re-encode and checks
     /// byte-for-byte stability (encode is deterministic, so byte equality
     /// of the re-encode is exactly `decode(encode(m)) == m` minus the
-    /// unserialized topology `Arc`).
-    fn assert_msg_roundtrips<D>(msg: &FabricMsg<D>, topo: &Arc<Topology<D>>)
+    /// unserialized snapshot `Arc`).
+    fn assert_msg_roundtrips<D>(msg: &FabricMsg<D>, topo: &Arc<Snapshot<D>>)
     where
         D: WireCodec + Send + Sync + 'static,
     {
@@ -349,7 +353,7 @@ mod tests {
     /// Builds the three op shapes around a request/item pair, exercising
     /// both update kinds and both update phases.
     fn msgs_around<D: WireCodec>(
-        topo: &Arc<Topology<D>>,
+        topo: &Arc<Snapshot<D>>,
         req: D::Request,
         item: D::Item,
         seed: u64,
@@ -366,7 +370,7 @@ mod tests {
             client,
             corr: seed ^ 0xabcd,
             hops: (seed % 40) as u32,
-            topo: Arc::clone(topo),
+            snap: Arc::clone(topo),
         };
         let query = mk(EngineOp::Query {
             req: req.clone(),
