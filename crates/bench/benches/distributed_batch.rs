@@ -1,13 +1,14 @@
 //! Criterion bench for the batched operation layer: end-to-end latency of
-//! `query_batch` across batch sizes {1, 16, 256} and deployment sizes
-//! {1, 4, 16} hosts. Larger batches amortize the per-hop envelope cost —
+//! a `run` batch of queries across batch sizes {1, 16, 256} and deployment
+//! sizes {1, 4, 16} hosts. Larger batches amortize the per-hop envelope cost —
 //! same answers, fewer metered host crossings — so batch size × host count
 //! maps the congestion lever of §2.5.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use skipweb_bench::workloads;
-use skipweb_core::engine::DistributedSkipWeb;
+use skipweb_core::engine::{DistributedSkipWeb, Op};
 use skipweb_core::onedim::OneDimSkipWeb;
+use skipweb_structures::SortedLinkedList;
 
 const HOST_COUNTS: [usize; 3] = [1, 4, 16];
 const BATCH_SIZES: [usize; 3] = [1, 16, 256];
@@ -35,10 +36,14 @@ fn bench_distributed_batch(c: &mut Criterion) {
                     let mut i = 0usize;
                     b.iter(|| {
                         i += 1;
-                        let reqs: Vec<u64> =
-                            (0..batch).map(|j| qs[(i * batch + j) % qs.len()]).collect();
-                        dist.query_batch(&client, origin, reqs)
-                            .expect("runtime alive")
+                        let ops: Vec<Op<SortedLinkedList>> = (0..batch)
+                            .map(|j| Op::Query {
+                                origin,
+                                req: qs[(i * batch + j) % qs.len()],
+                                gather: false,
+                            })
+                            .collect();
+                        dist.run(&client, ops).expect("runtime alive")
                     });
                 },
             );

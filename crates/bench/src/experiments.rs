@@ -983,9 +983,9 @@ pub fn churn(host_counts: &[usize], n: usize, ops: usize, seed: u64) -> Table {
 }
 
 /// Batched scatter-gather throughput: for each host count and batch size,
-/// the same query workload runs once serially and once through
-/// `query_batch`, reporting the metered host crossings of both, the saving,
-/// and the coalescing the batch counters observed (envelopes and mean ops
+/// the same query workload runs once serially and once as `run` batches,
+/// reporting the metered host crossings of both, the saving, and the
+/// coalescing the batch counters observed (envelopes and mean ops
 /// per envelope). Answers are asserted identical along the way — the table
 /// is also a parity check.
 pub fn batch(
@@ -995,7 +995,7 @@ pub fn batch(
     ops: usize,
     seed: u64,
 ) -> Table {
-    use skipweb_core::engine::DistributedSkipWeb;
+    use skipweb_core::engine::{DistributedSkipWeb, Op};
     use std::time::Instant;
 
     let mut t = Table::new(
@@ -1039,11 +1039,19 @@ pub fn batch(
             let start = Instant::now();
             let mut got: Vec<Option<u64>> = Vec::with_capacity(ops);
             for chunk in qs[..ops.min(qs.len())].chunks(batch.max(1)) {
+                let ops = chunk
+                    .iter()
+                    .map(|&req| Op::Query {
+                        origin,
+                        req,
+                        gather: false,
+                    })
+                    .collect();
                 got.extend(
-                    dist.query_batch(&client, origin, chunk.to_vec())
+                    dist.run(&client, ops)
                         .expect("runtime alive")
                         .into_iter()
-                        .map(|r| r.answer),
+                        .map(|r| r.try_into_answer().expect("query answers")),
                 );
             }
             let elapsed = start.elapsed().as_secs_f64();

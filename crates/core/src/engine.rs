@@ -57,9 +57,17 @@
 //! the simulator exactly when updates are admitted one at a time, which is
 //! what the parity suite pins down.
 //!
-//! Each operation carries a correlation id, so one client can keep many
-//! operations in flight concurrently and match replies as they arrive out
-//! of order ([`DistributedSkipWeb::submit`] / [`EngineClient::recv_corr`]).
+//! Every client operation is one [`Op`] — a query, an insert, or a remove —
+//! and every submission is a batch of them: [`DistributedSkipWeb::submit`]
+//! injects a batch and returns one correlation id per op, so one client can
+//! keep many operations in flight and match replies as they arrive out of
+//! order ([`EngineClient::recv_corr`]); [`DistributedSkipWeb::run`] blocks
+//! for the whole batch. The five blocking wrappers
+//! ([`query`](DistributedSkipWeb::query),
+//! [`insert`](DistributedSkipWeb::insert),
+//! [`remove`](DistributedSkipWeb::remove) and the explicit-origin
+//! [`insert_with`](DistributedSkipWeb::insert_with) /
+//! [`remove_with`](DistributedSkipWeb::remove_with)) run a batch of one.
 //! Replies report the exact number of remote hops the operation paid, which
 //! for owner-hosted placement equals the simulator's metered host crossings
 //! — the parity property the integration tests pin down.
@@ -101,33 +109,34 @@
 //! # Batched operations and scatter-gather (§2.5 congestion)
 //!
 //! The paper's congestion analysis assumes many concurrent operations share
-//! the fabric; the batched layer makes them share *envelopes* too:
+//! the fabric; batching makes them share *envelopes* too:
 //!
-//! * **Batching.** [`query_batch`](DistributedSkipWeb::query_batch) /
-//!   [`insert_batch`](DistributedSkipWeb::insert_batch) /
-//!   [`remove_batch`](DistributedSkipWeb::remove_batch) submit many keys
-//!   under one correlation group. All ops enter at the origin's root in one
-//!   message, and at every hop the ops that agree on their next host are
-//!   coalesced into a single [`FabricMsg::Batch`] envelope — metered as
-//!   **one** host crossing. Updates whose repair trails end on one host in
-//!   the same handler turn apply under one state lock, one structural
-//!   rebuild per same-kind run, and one snapshot publish. Answers, applied
-//!   flags, and final structures are byte-identical to the serial paths; a
-//!   batch of N ops crosses strictly fewer host boundaries.
-//! * **Scatter-gather reports.**
-//!   [`query_scatter`](DistributedSkipWeb::query_scatter) splits a range
-//!   report (quadtree box, trie prefix) at its locus across the hosts
-//!   owning the output ([`Routable::report_ranges`]); the partial answers
-//!   stream back to the client in parallel and merge
+//! * **Batching.** A [`run`](DistributedSkipWeb::run) or
+//!   [`submit`](DistributedSkipWeb::submit) batch is admitted under one
+//!   snapshot, and the ops that enter at the same host travel in one
+//!   [`FabricMsg`] envelope. At every later hop the ops that agree on their
+//!   next host are coalesced into one envelope again — metered as **one**
+//!   host crossing. A batch may mix queries and updates. Updates whose
+//!   repair trails end on one host in the same handler turn apply under one
+//!   state lock, one structural rebuild per same-kind run, and one snapshot
+//!   publish. Answers, applied flags, and final structures are
+//!   byte-identical to running the ops one at a time; a batch of N ops
+//!   crosses strictly fewer host boundaries.
+//! * **Scatter-gather reports.** A query submitted with `gather: true`
+//!   splits a range report (quadtree box, trie prefix) at its locus across
+//!   the hosts owning the output ([`Routable::report_ranges`]); the partial
+//!   answers stream back to the client in parallel, and `run` merges them
 //!   ([`Routable::merge_answers`]) into the serial answer, byte for byte —
 //!   instead of the locus walking the whole output serially.
-//! * **Exactly-once resubmits.** Blocking entry points resubmit once when
-//!   a wait times out while a host is dead. Queries are idempotent;
-//!   updates are re-tagged with the *original* op id, and the apply path
-//!   keeps an idempotence ledger keyed on `(client, op id)` — a resubmit
-//!   whose first attempt actually landed is echoed its recorded outcome,
-//!   never applied twice. Late replies of abandoned attempts are dropped
-//!   on arrival and counted in [`HostTraffic::stale_replies`].
+//! * **Exactly-once resubmits.** `run` and the blocking wrappers resubmit
+//!   an op when its wait times out while a host is dead (on a lossy
+//!   transport, on every timeout). Queries are idempotent; updates are
+//!   re-tagged with the *original* op id, and the apply path keeps an
+//!   idempotence ledger keyed on `(client, op id)` — a resubmit whose first
+//!   attempt actually landed is echoed its recorded outcome, never applied
+//!   twice. Late replies of abandoned attempts, and replies whose kind does
+//!   not match their op, are dropped on arrival and counted in
+//!   [`HostTraffic::stale_replies`].
 //!
 //! # Example
 //!
@@ -226,8 +235,8 @@ pub trait Routable: RangeDetermined<Item: Send + Sync + 'static> {
     /// box reporting, trie prefix enumeration), `None` (the default) for
     /// point queries answered entirely from the locus neighbourhood.
     ///
-    /// When `Some`, a [`DistributedSkipWeb::query_scatter`] splits the
-    /// report at the locus: the engine groups the returned ranges by owning
+    /// When `Some`, a query submitted with `gather: true` ([`Op::Query`])
+    /// splits the report at the locus: the engine groups the returned ranges by owning
     /// host, sends each remote group one sub-scan message, and the partial
     /// answers stream back to the client in parallel instead of the locus
     /// walking the whole output serially. Implementors must override
@@ -344,24 +353,57 @@ pub struct EngineMsg<D: Routable> {
     pub(crate) snap: Arc<Snapshot<D>>,
 }
 
-/// The wire envelope hosts exchange: a single operation, or a coalesced
-/// batch of operations that were all bound for the same next host. A batch
-/// envelope is metered as **one** host crossing however many ops it carries
-/// — the congestion lever of §2.5 the batched entry points
-/// ([`DistributedSkipWeb::query_batch`], `insert_batch`, `remove_batch`)
-/// pull: at every hop, ops that agree on their next host share an envelope.
+/// The wire envelope hosts exchange: the operations bound for one next
+/// host. However many ops it carries, an envelope is metered as **one**
+/// host crossing — the congestion lever of §2.5 that batched submissions
+/// ([`DistributedSkipWeb::run`]) pull: at every hop, ops that agree on
+/// their next host share an envelope. A single op is an envelope of one.
 #[derive(Debug)]
-pub enum FabricMsg<D: Routable> {
-    /// One operation.
-    One(EngineMsg<D>),
-    /// Many operations bound for the same host, sharing one crossing.
-    Batch(BatchMsg<D>),
+pub struct FabricMsg<D: Routable> {
+    pub(crate) ops: Vec<EngineMsg<D>>,
 }
 
-/// The multi-op body of a [`FabricMsg::Batch`] envelope.
-#[derive(Debug)]
-pub struct BatchMsg<D: Routable> {
-    pub(crate) ops: Vec<EngineMsg<D>>,
+/// One client operation: the unit of [`DistributedSkipWeb::submit`] and
+/// [`DistributedSkipWeb::run`]. Every kind enters the fabric the same way,
+/// at `origin`'s root, and descends by the §2.5 forwarding loop: an update
+/// is a query first, routing to its item's locus before it repairs
+/// bottom-up (§4).
+#[derive(Debug, Clone)]
+pub enum Op<D: Routable> {
+    /// A query. With `gather`, a range report is scatter-gathered at its
+    /// locus (see [`Routable::report_ranges`]); other requests, and reports
+    /// whose whole output is local to the locus host, are answered
+    /// serially either way.
+    Query {
+        /// Ground item whose root the descent starts from.
+        origin: usize,
+        /// The structure-specific request.
+        req: D::Request,
+        /// Whether to scatter-gather a range report at its locus.
+        gather: bool,
+    },
+    /// Inserts `item` at the levels `bits` selects (§2.3). Driving the
+    /// simulator's [`SkipWeb::insert_with`] with the same `(origin, bits)`
+    /// yields the same structure and — for owner-hosted placement within
+    /// capacity — the same message count. `origin` is ignored when the web
+    /// is empty (there is nothing to look up, matching the simulator).
+    Insert {
+        /// Ground item whose root the lookup starts from.
+        origin: usize,
+        /// The item to insert.
+        item: D::Item,
+        /// The item's level membership bit string.
+        bits: u64,
+    },
+    /// Removes `item` — the counterpart of [`SkipWeb::remove_with`]:
+    /// `origin` is ignored when the simulator would skip the lookup (item
+    /// absent from the snapshot, or a single-item web).
+    Remove {
+        /// Ground item whose root the lookup starts from.
+        origin: usize,
+        /// The item to remove.
+        item: D::Item,
+    },
 }
 
 /// Reply delivered to the submitting client: the correlation id, the remote
@@ -508,7 +550,7 @@ impl<D: Routable> EngineReply<D> {
 /// A completed query: the answer plus its cost accounting.
 #[derive(Debug, Clone)]
 pub struct QueryReply<D: Routable> {
-    /// Correlation id of the originating [`DistributedSkipWeb::submit`].
+    /// Correlation id of the query's last attempt.
     pub corr: u64,
     /// The structure-specific answer.
     pub answer: D::Answer,
@@ -519,7 +561,7 @@ pub struct QueryReply<D: Routable> {
 /// A completed update: whether it applied, plus its cost accounting.
 #[derive(Debug, Clone, Copy)]
 pub struct UpdateReply {
-    /// Correlation id of the originating submit call.
+    /// Correlation id of the update's last attempt.
     pub corr: u64,
     /// Whether the structure changed (`false` for duplicate inserts, absent
     /// removes, and inadmissible items).
@@ -1387,30 +1429,23 @@ impl<D: Routable + Send + Sync + 'static> Actor for EngineActor<D> {
         // which is what lets routing steer around hosts that die mid-query.
         let membership = ctx.membership();
         let mut turn = Turn::new();
-        match msg {
-            FabricMsg::One(m) => self.drive(me, m, ctx, &membership, &mut turn),
-            FabricMsg::Batch(batch) => {
-                // Every op advances "as far as it can internally" here, then
-                // re-coalesces with the others by next destination below.
-                for m in batch.ops {
-                    self.drive(me, m, ctx, &membership, &mut turn);
-                }
-            }
+        // Every op advances "as far as it can internally" here, then
+        // re-coalesces with the others by next destination below.
+        for m in msg.ops {
+            self.drive(me, m, ctx, &membership, &mut turn);
         }
         if !turn.applies.is_empty() {
             let applies = std::mem::take(&mut turn.applies);
             self.apply_turn(applies, ctx, &membership);
         }
-        for ((class, host), mut msgs) in turn.forwards {
-            if msgs.len() == 1 {
-                ctx.send_class(
-                    host,
-                    FabricMsg::One(msgs.pop().expect("len checked")),
-                    class,
-                );
+        for ((class, host), ops) in turn.forwards {
+            // Only multi-op envelopes count in the batch counters.
+            let n = ops.len() as u32;
+            let envelope = FabricMsg { ops };
+            if n == 1 {
+                ctx.send_class(host, envelope, class);
             } else {
-                let ops = msgs.len() as u32;
-                ctx.send_multi(host, FabricMsg::Batch(BatchMsg { ops: msgs }), class, ops);
+                ctx.send_multi(host, envelope, class, n);
             }
         }
     }
@@ -1421,13 +1456,13 @@ impl<D: Routable + Send + Sync + 'static> Actor for EngineActor<D> {
 /// pulled by one thread for another's correlation id are parked in a shared
 /// buffer.
 ///
-/// The blocking entry points ([`DistributedSkipWeb::query`],
-/// [`DistributedSkipWeb::insert`], …) wait and retry per this client's
-/// [`Timeouts`] policy (defaults: 10 s queries / 30 s updates),
-/// configurable per client with [`set_timeouts`](Self::set_timeouts) or
-/// for a whole deployment with [`FabricBuilder::timeouts`] — stress and
-/// fault-injection suites shorten the waits so a lost operation surfaces
-/// quickly.
+/// [`DistributedSkipWeb::run`] and its blocking wrappers
+/// ([`DistributedSkipWeb::query`], [`DistributedSkipWeb::insert`], …)
+/// wait and retry per this client's [`Timeouts`] policy (defaults: 10 s
+/// queries / 30 s updates), configurable per client with
+/// [`set_timeouts`](Self::set_timeouts) or for a whole deployment with
+/// [`FabricBuilder::timeouts`] — stress and fault-injection suites shorten
+/// the waits so a lost operation surfaces quickly.
 pub struct EngineClient<D: Routable + Send + Sync + 'static> {
     inner: Client<FabricMsg<D>, EngineReply<D>>,
     next_corr: AtomicU64,
@@ -1550,16 +1585,6 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
         *self.timeouts.lock()
     }
 
-    /// The current blocking-query timeout.
-    pub fn query_timeout(&self) -> Duration {
-        self.timeouts.lock().query
-    }
-
-    /// The current blocking-update timeout.
-    pub fn update_timeout(&self) -> Duration {
-        self.timeouts.lock().update
-    }
-
     /// Abandons `corr`: already-parked replies are dropped now, and every
     /// late reply is discarded on arrival instead of accumulating in the
     /// pending buffer — each drop counted in
@@ -1662,15 +1687,6 @@ impl<D: Routable + Send + Sync + 'static> EngineClient<D> {
                 Err(e) => return Err(e),
             }
         }
-    }
-
-    /// Compatibility alias of [`recv_any`](Self::recv_any).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors.
-    pub fn recv_timeout(&self, timeout: Duration) -> Result<EngineReply<D>, RuntimeError> {
-        self.recv_any(timeout)
     }
 }
 
@@ -1997,264 +2013,81 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         }
     }
 
-    /// Injects `req` at `origin_item`'s root host without waiting, returning
-    /// the correlation id to pass to [`EngineClient::recv_corr`]. Any number
-    /// of operations may be in flight per client. When the origin's home
-    /// host is dead, the request enters at the nearest alive replica of the
-    /// origin range instead.
+    /// Injects a batch of operations without waiting, returning one
+    /// correlation id per op, in submission order, to pass to
+    /// [`EngineClient::recv_corr`]. Any number of operations may be in
+    /// flight per client. The batch is admitted under one snapshot, and the
+    /// ops that enter at the same host share one envelope. An op whose
+    /// origin's home host is dead enters at the nearest alive replica of
+    /// the origin range instead.
+    ///
+    /// The raw replies are the caller's to interpret: a `gather` query may
+    /// answer with several [`ReplyBody::Partial`]s to merge with
+    /// [`Routable::merge_answers`], and nothing is resubmitted. [`run`]
+    /// does both.
+    ///
+    /// [`run`]: Self::run
     ///
     /// # Errors
     ///
     /// Propagates runtime errors (host down or panicked), and
-    /// [`RuntimeError::Unavailable`] when every replica of the origin range
-    /// has crashed.
+    /// [`RuntimeError::Unavailable`] when every replica of an op's entry
+    /// range has crashed. Ops of a failed batch may already be in flight;
+    /// their replies are dropped on arrival.
     ///
     /// # Panics
     ///
-    /// Panics if `origin_item` is out of bounds (e.g. on an empty web).
+    /// Panics if an op that looks up its locus has an out-of-bounds
+    /// origin: any query (e.g. on an empty web), and any update whose
+    /// lookup the simulator would run (see [`Op`]).
     pub fn submit(
         &self,
         client: &EngineClient<D>,
-        origin_item: usize,
-        req: D::Request,
-    ) -> Result<u64, RuntimeError> {
-        self.submit_query(client, origin_item, req, false)
+        ops: Vec<Op<D>>,
+    ) -> Result<Vec<u64>, RuntimeError> {
+        self.send(client, &self.shared.current(), &ops, None)
     }
 
-    /// Like [`submit`](Self::submit), but the query scatter-gathers at its
-    /// locus when the request is a range report (see
-    /// [`Routable::report_ranges`]): the receiver must gather the streamed
-    /// [`ReplyBody::Partial`]s — which the blocking
-    /// [`query_scatter`](Self::query_scatter) does.
+    /// Runs a batch of operations end to end, blocking until every op
+    /// completes, and returns the replies in submission order. A query's
+    /// body is [`ReplyBody::Answer`] (scatter partials already merged,
+    /// with `hops` the longest descent-plus-fan-out chain); an update's is
+    /// [`ReplyBody::Updated`]. The batch is admitted under one snapshot and
+    /// coalesces per destination host at every hop, so it crosses fewer
+    /// host boundaries than the same ops run one at a time, while answers,
+    /// applied flags and the final structure stay byte-identical (for
+    /// updates on distinct items; ops on the *same* item race by arrival
+    /// order, as concurrent clients would).
+    ///
+    /// Each op waits up to the client's query or update timeout (see
+    /// [`EngineClient::set_timeouts`]). An op that times out while a host
+    /// is dead — the signature of a message lost in a crashed host's
+    /// mailbox — or, on a lossy transport, on any timeout, is resubmitted
+    /// on its own against the current snapshot. Queries are idempotent;
+    /// updates keep their original op id, so the apply path's idempotence
+    /// ledger keeps them exactly-once.
     ///
     /// # Errors
+    ///
+    /// As [`submit`](Self::submit), plus per op: timeouts past the
+    /// resubmit budget, disconnects, and [`RuntimeError::Unavailable`] when
+    /// more hosts have crashed than the replication factor tolerates (never
+    /// a silently truncated report). The first failing op aborts the
+    /// collection and abandons the rest, whose late replies are dropped on
+    /// arrival and counted.
+    ///
+    /// # Panics
     ///
     /// As [`submit`](Self::submit).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin_item` is out of bounds.
-    pub fn submit_scatter(
+    pub fn run(
         &self,
         client: &EngineClient<D>,
-        origin_item: usize,
-        req: D::Request,
-    ) -> Result<u64, RuntimeError> {
-        self.submit_query(client, origin_item, req, true)
-    }
-
-    fn submit_query(
-        &self,
-        client: &EngineClient<D>,
-        origin_item: usize,
-        req: D::Request,
-        gather: bool,
-    ) -> Result<u64, RuntimeError> {
-        let snap = self.shared.current();
-        assert!(origin_item < snap.web.len(), "origin item out of bounds");
-        let corr = client.next_corr.fetch_add(1, Ordering::Relaxed);
-        // A host can die between the membership check and the send; the
-        // failed send proves the fresh membership now reports it dead, so
-        // re-resolving converges on a replica (or on Unavailable).
-        for _ in 0..4 {
-            let (host, at) = self.entry_point(&snap, origin_item)?;
-            match client.inner.send(
-                host,
-                FabricMsg::One(EngineMsg {
-                    op: EngineOp::Query {
-                        req: req.clone(),
-                        gather,
-                    },
-                    at,
-                    client: client.id(),
-                    corr,
-                    hops: 0,
-                    snap: Arc::clone(&snap),
-                }),
-            ) {
-                Ok(()) => return Ok(corr),
-                Err(RuntimeError::HostPanicked(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(RuntimeError::Unavailable)
-    }
-
-    /// Submits a whole batch of queries under one correlation group without
-    /// waiting, returning the per-op correlation ids in submission order.
-    /// All ops enter at `origin_item`'s root in **one** envelope, and at
-    /// every later hop the ops that agree on their next host keep sharing
-    /// an envelope ([`FabricMsg::Batch`], metered as a single crossing) —
-    /// so a batch of N queries crosses strictly fewer host boundaries than
-    /// N serial submissions while returning byte-identical answers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors (host down or panicked), and
-    /// [`RuntimeError::Unavailable`] when every replica of the origin range
-    /// has crashed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin_item` is out of bounds (e.g. on an empty web).
-    pub fn submit_batch(
-        &self,
-        client: &EngineClient<D>,
-        origin_item: usize,
-        reqs: Vec<D::Request>,
-    ) -> Result<Vec<u64>, RuntimeError> {
-        let snap = self.shared.current();
-        assert!(origin_item < snap.web.len(), "origin item out of bounds");
-        if reqs.is_empty() {
-            return Ok(Vec::new());
-        }
-        let corrs: Vec<u64> = reqs
-            .iter()
-            .map(|_| client.next_corr.fetch_add(1, Ordering::Relaxed))
-            .collect();
-        // A host can die between resolution and send (which consumes the
-        // envelope): rebuild against the fresh membership and retry, as in
-        // `submit`.
-        for _ in 0..4 {
-            let (host, at) = self.entry_point(&snap, origin_item)?;
-            let ops: Vec<EngineMsg<D>> = reqs
-                .iter()
-                .zip(&corrs)
-                .map(|(req, &corr)| EngineMsg {
-                    op: EngineOp::Query {
-                        req: req.clone(),
-                        gather: false,
-                    },
-                    at,
-                    client: client.id(),
-                    corr,
-                    hops: 0,
-                    snap: Arc::clone(&snap),
-                })
-                .collect();
-            match client.inner.send(host, Self::envelope(ops)) {
-                Ok(()) => return Ok(corrs),
-                Err(RuntimeError::HostPanicked(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(RuntimeError::Unavailable)
-    }
-
-    /// Wraps a group of ops bound for one host: a bare message for a single
-    /// op, a coalesced batch envelope otherwise.
-    fn envelope(mut ops: Vec<EngineMsg<D>>) -> FabricMsg<D> {
-        if ops.len() == 1 {
-            FabricMsg::One(ops.pop().expect("len checked"))
-        } else {
-            FabricMsg::Batch(BatchMsg { ops })
-        }
-    }
-
-    /// Resolves `origin_item`'s entry host under `snap`, failing over to an
-    /// alive replica of the origin range when the home host is dead.
-    fn entry_point(
-        &self,
-        snap: &Snapshot<D>,
-        origin_item: usize,
-    ) -> Result<(HostId, GlobalRef), RuntimeError> {
-        let (host, at) = snap.origin(origin_item);
-        let membership = self.runtime.membership();
-        if membership.is_routable(host) {
-            return Ok((host, at));
-        }
-        snap.hosts(&snap.set(at).range_host[at.range as usize])
-            .find(|&h| membership.is_routable(h))
-            .map(|h| (h, at))
-            .ok_or(RuntimeError::Unavailable)
-    }
-
-    /// Runs one query end to end, blocking up to the client's query timeout
-    /// (default 10 s, see [`EngineClient::set_timeouts`]) for the reply.
-    ///
-    /// If the wait times out while some host is dead — the signature of a
-    /// request lost in a crashed host's mailbox — the query is resubmitted
-    /// once against the current membership before giving up: queries are
-    /// idempotent, so the retry is always safe.
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors (host down or panicked, timeout,
-    /// disconnect), and [`RuntimeError::Unavailable`] when more hosts have
-    /// crashed than the replication factor tolerates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin_item` is out of bounds.
-    pub fn query(
-        &self,
-        client: &EngineClient<D>,
-        origin_item: usize,
-        req: D::Request,
-    ) -> Result<QueryReply<D>, RuntimeError> {
-        let corr = self.submit(client, origin_item, req.clone())?;
-        self.collect_query(client, corr, origin_item, req, false)
-    }
-
-    /// Runs one scatter-gather range report end to end: the descent routes
-    /// to the locus as usual, the locus splits the report across the hosts
-    /// owning the output (one sub-scan message per host instead of a serial
-    /// walk), the partial answers stream back in parallel, and this call
-    /// merges them with [`Routable::merge_answers`] — byte-identical to
-    /// [`query`](Self::query) for the same request. Requests that are not
-    /// range reports ([`Routable::report_ranges`] returns `None`), and
-    /// reports whose whole output is local to the locus host, fall back to
-    /// the serial answer transparently.
-    ///
-    /// The reply's `hops` count the longest descent+fan-out chain (the
-    /// latency the client observed), not the total crossings the fan-out
-    /// paid — those are metered per host in [`traffic`](Self::traffic).
-    ///
-    /// # Errors
-    ///
-    /// As [`query`](Self::query); additionally
-    /// [`RuntimeError::Unavailable`] when part of the report's output lost
-    /// every replica (never a silently truncated answer).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin_item` is out of bounds.
-    pub fn query_scatter(
-        &self,
-        client: &EngineClient<D>,
-        origin_item: usize,
-        req: D::Request,
-    ) -> Result<QueryReply<D>, RuntimeError> {
-        let corr = self.submit_scatter(client, origin_item, req.clone())?;
-        self.collect_query(client, corr, origin_item, req, true)
-    }
-
-    /// Runs a whole batch of queries end to end (see
-    /// [`submit_batch`](Self::submit_batch) for the coalescing), returning
-    /// the replies in submission order — answers byte-identical to running
-    /// each request through [`query`](Self::query) serially, while crossing
-    /// strictly fewer host boundaries. Each op that times out while a host
-    /// is dead is resubmitted once individually, like `query`.
-    ///
-    /// # Errors
-    ///
-    /// As [`query`](Self::query), per op — the first failing op aborts the
-    /// collection, abandoning the remaining in-flight ops (their late
-    /// replies are dropped on arrival and counted, never parked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin_item` is out of bounds.
-    pub fn query_batch(
-        &self,
-        client: &EngineClient<D>,
-        origin_item: usize,
-        reqs: Vec<D::Request>,
-    ) -> Result<Vec<QueryReply<D>>, RuntimeError> {
-        let corrs = self.submit_batch(client, origin_item, reqs.clone())?;
-        let mut replies = Vec::with_capacity(corrs.len());
-        for (i, (&corr, req)) in corrs.iter().zip(reqs).enumerate() {
-            match self.collect_query(client, corr, origin_item, req, false) {
+        ops: Vec<Op<D>>,
+    ) -> Result<Vec<EngineReply<D>>, RuntimeError> {
+        let corrs = self.send(client, &self.shared.current(), &ops, None)?;
+        let mut replies = Vec::with_capacity(ops.len());
+        for (i, (op, &corr)) in ops.iter().zip(&corrs).enumerate() {
+            match self.collect(client, op, corr) {
                 Ok(reply) => replies.push(reply),
                 Err(e) => {
                     // Abandon the uncollected tail: their replies must not
@@ -2270,179 +2103,62 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         Ok(replies)
     }
 
-    /// Waits for one query's outcome: gathers scatter partials when the
-    /// locus split the report, and resubmits once on a timeout while a host
-    /// is dead — the signature of a request (or partial) lost in a crashed
-    /// host's mailbox. Queries are idempotent, so the retry is always safe;
-    /// the abandoned correlation id's late replies are dropped and counted.
-    fn collect_query(
-        &self,
-        client: &EngineClient<D>,
-        mut corr: u64,
-        origin_item: usize,
-        req: D::Request,
-        scatter: bool,
-    ) -> Result<QueryReply<D>, RuntimeError> {
-        let policy = client.timeouts();
-        let timeout = policy.query;
-        // A timeout normally signals a request lost in a crashed host's
-        // mailbox, so the small lossless budget (default 1, spent only
-        // while a host is dead) suffices. On a lossy transport *any* hop
-        // can silently drop the operation even with every host alive, so
-        // the wider lossy budget applies: retry on every timeout (see
-        // [`Timeouts::lossy_resubmits`] for the residual-failure math).
-        let lossy = self.runtime.transport_lossy();
-        let max_resubmits = if lossy {
-            policy.lossy_resubmits
-        } else {
-            policy.resubmits
-        };
-        let mut resubmits = 0usize;
-        let mut parts: Vec<D::Answer> = Vec::new();
-        let mut hops_max = 0u32;
-        loop {
-            match client.recv_corr(corr, timeout) {
-                Ok(reply) => {
-                    hops_max = hops_max.max(reply.hops);
-                    match reply.body {
-                        ReplyBody::Answer(answer) => {
-                            return Ok(QueryReply {
-                                corr,
-                                answer,
-                                hops: reply.hops,
-                            })
-                        }
-                        ReplyBody::Partial { answer, of } => {
-                            parts.push(answer);
-                            if parts.len() as u32 >= of {
-                                return Ok(QueryReply {
-                                    corr,
-                                    answer: D::merge_answers(std::mem::take(&mut parts)),
-                                    hops: hops_max,
-                                });
-                            }
-                        }
-                        ReplyBody::Unavailable => {
-                            // Stragglers of a partially-delivered report are
-                            // dropped on arrival, not parked.
-                            client.mark_stale(corr);
-                            return Err(RuntimeError::Unavailable);
-                        }
-                        ReplyBody::Updated { .. } => {
-                            unreachable!("query correlation id matched an update")
-                        }
-                    }
-                }
-                Err(RuntimeError::Timeout)
-                    if resubmits < max_resubmits
-                        && (lossy || self.runtime.membership().first_dead().is_some()) =>
-                {
-                    resubmits += 1;
-                    // The first attempt is abandoned: if it was merely slow
-                    // (not lost), its late replies are discarded rather than
-                    // parked in the pending buffer forever.
-                    client.mark_stale(corr);
-                    parts.clear();
-                    hops_max = 0;
-                    corr = if scatter {
-                        self.submit_scatter(client, origin_item, req.clone())?
-                    } else {
-                        self.submit(client, origin_item, req.clone())?
-                    };
-                }
-                Err(e) => {
-                    client.mark_stale(corr);
-                    return Err(e);
-                }
-            }
-        }
-    }
-
-    /// Submits an insert with an explicit level bit string without waiting,
-    /// returning its correlation id. Driving the simulator's
-    /// [`SkipWeb::insert_with`] with the same `(origin, bits)` yields the
-    /// same structure and — for owner-hosted placement within capacity —
-    /// the same message count.
-    ///
-    /// `origin` names the ground item whose root the lookup phase starts
-    /// from; it is ignored when the web is empty (there is nothing to look
-    /// up, matching the simulator).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors (host down or panicked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin` is out of bounds on a non-empty web.
-    pub fn submit_insert(
-        &self,
-        client: &EngineClient<D>,
-        origin: usize,
-        item: D::Item,
-        bits: u64,
-    ) -> Result<u64, RuntimeError> {
-        self.submit_update(client, origin, UpdateKind::Insert { bits }, item)
-    }
-
-    /// Submits a remove without waiting, returning its correlation id. The
-    /// counterpart of [`SkipWeb::remove_with`]: `origin` is ignored when
-    /// the simulator would skip the lookup (item absent from the snapshot,
-    /// or a single-item web).
-    ///
-    /// # Errors
-    ///
-    /// Propagates runtime errors (host down or panicked).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `origin` is out of bounds when the lookup phase runs.
-    pub fn submit_remove(
-        &self,
-        client: &EngineClient<D>,
-        origin: usize,
-        item: D::Item,
-    ) -> Result<u64, RuntimeError> {
-        self.submit_update(client, origin, UpdateKind::Remove, item)
-    }
-
-    fn submit_update(
-        &self,
-        client: &EngineClient<D>,
-        origin: usize,
-        kind: UpdateKind,
-        item: D::Item,
-    ) -> Result<u64, RuntimeError> {
-        let snap = self.shared.current();
-        self.submit_update_at(client, snap, origin, kind, item, None)
-    }
-
-    /// Resolves where an update enters the fabric under `snap`: the origin's
-    /// root for the lookup phase, or the head of the repair trail when the
-    /// simulator's lookup rule skips the lookup (empty web, absent remove,
-    /// single-item web).
-    fn plan_update(
+    /// Resolves where `op` enters the fabric under `snap`, and what it
+    /// carries there. Queries and looked-up updates enter at the origin's
+    /// root, failing over to an alive replica of the origin range when the
+    /// home host is dead. An update whose lookup the simulator's rule skips
+    /// (empty web, absent remove, single-item web) enters at the head of its
+    /// repair trail instead.
+    fn plan(
         &self,
         snap: &Snapshot<D>,
-        origin: usize,
-        kind: UpdateKind,
-        item: &D::Item,
-    ) -> Result<(HostId, GlobalRef, UpdatePhase), RuntimeError> {
+        op: &Op<D>,
+        op_id: u64,
+    ) -> Result<(HostId, GlobalRef, EngineOp<D>), RuntimeError> {
+        let membership = self.runtime.membership();
+        let entry = |origin: usize| {
+            assert!(origin < snap.web.len(), "origin item out of bounds");
+            let (host, at) = snap.origin(origin);
+            if membership.is_routable(host) {
+                return Ok((host, at));
+            }
+            snap.hosts(&snap.set(at).range_host[at.range as usize])
+                .find(|&h| membership.is_routable(h))
+                .map(|h| (h, at))
+                .ok_or(RuntimeError::Unavailable)
+        };
         // Mirror the simulator's lookup rule: inserts route on a non-empty
         // web; removes route when the item is present and not the last one.
-        let routes = match kind {
-            UpdateKind::Insert { .. } => !snap.web.is_empty(),
-            UpdateKind::Remove => snap.web.len() > 1 && snap.web.contains_item(item),
+        let (origin, kind, item, routes) = match op {
+            Op::Query {
+                origin,
+                req,
+                gather,
+            } => {
+                let (host, at) = entry(*origin)?;
+                let (req, gather) = (req.clone(), *gather);
+                return Ok((host, at, EngineOp::Query { req, gather }));
+            }
+            Op::Insert { origin, item, bits } => (
+                *origin,
+                UpdateKind::Insert { bits: *bits },
+                item,
+                !snap.web.is_empty(),
+            ),
+            Op::Remove { origin, item } => (
+                *origin,
+                UpdateKind::Remove,
+                item,
+                snap.web.len() > 1 && snap.web.contains_item(item),
+            ),
         };
-        if routes {
-            assert!(origin < snap.web.len(), "origin item out of bounds");
-            let (host, at) = self.entry_point(snap, origin)?;
-            Ok((host, at, UpdatePhase::Route))
+        let (host, at, phase) = if routes {
+            let (host, at) = entry(origin)?;
+            (host, at, UpdatePhase::Route)
         } else {
             // No lookup phase: enter the repair trail directly. The client
             // injection is free (as is the meter's first visit), so hops
             // still equal the simulator's messages.
-            let membership = self.runtime.membership();
             let trail =
                 repair_trail(snap, item, kind, &membership).ok_or(RuntimeError::Unavailable)?;
             let host = match trail.first().copied() {
@@ -2460,122 +2176,74 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
                 set: 0,
                 range: 0,
             };
-            Ok((host, at, UpdatePhase::Repair { cursor: 0, trail }))
-        }
+            (host, at, UpdatePhase::Repair { cursor: 0, trail })
+        };
+        let update = UpdateOp {
+            kind,
+            item: item.clone(),
+            phase,
+            op_id,
+        };
+        Ok((host, at, EngineOp::Update(update)))
     }
 
-    /// Admits an update against an already-captured snapshot, so callers
-    /// that derived `origin` from that same snapshot (the convenience
-    /// `insert`/`remove`) can never race a concurrent apply into an
-    /// out-of-bounds origin. `op_id` is `None` for a first attempt (the
-    /// fresh correlation id becomes the logical op id) and `Some` on a
-    /// timeout-resubmit, which re-tags the new attempt with the *original*
-    /// op id so the apply path stays exactly-once.
-    fn submit_update_at(
+    /// Admits `ops` under `snap` — the one send routine. Every op is planned
+    /// under the shared snapshot and the ops are bucketed by entry host, so
+    /// each host receives one envelope. Returns the fresh correlation ids in
+    /// submission order. `retag` is `None` for first attempts (each op's
+    /// correlation id becomes its logical op id) and `Some(op_id)` for a
+    /// one-op timeout-resubmit, which keeps the *original* op id so the
+    /// apply path stays exactly-once. Callers that derive an op's origin
+    /// from `snap` can never race a concurrent apply into an out-of-bounds
+    /// origin.
+    fn send(
         &self,
         client: &EngineClient<D>,
-        snap: Arc<Snapshot<D>>,
-        origin: usize,
-        kind: UpdateKind,
-        item: D::Item,
-        op_id: Option<u64>,
-    ) -> Result<u64, RuntimeError> {
-        let corr = client.next_corr.fetch_add(1, Ordering::Relaxed);
-        let op_id = op_id.unwrap_or(corr);
-        // As in `submit`: a host dying between resolution and send makes
-        // the send fail fast, and re-resolving against the now-updated
-        // membership converges on a replica.
-        for _ in 0..4 {
-            let (host, at, phase) = self.plan_update(&snap, origin, kind, &item)?;
-            match client.inner.send(
-                host,
-                FabricMsg::One(EngineMsg {
-                    op: EngineOp::Update(UpdateOp {
-                        kind,
-                        item: item.clone(),
-                        phase,
-                        op_id,
-                    }),
-                    at,
-                    client: client.id(),
-                    corr,
-                    hops: 0,
-                    snap: Arc::clone(&snap),
-                }),
-            ) {
-                Ok(()) => return Ok(corr),
-                Err(RuntimeError::HostPanicked(_)) => {}
-                Err(e) => return Err(e),
-            }
-        }
-        Err(RuntimeError::Unavailable)
-    }
-
-    /// Submits a batch of updates under one snapshot without waiting,
-    /// returning the per-op correlation ids in submission order. Ops whose
-    /// entry host agrees are injected as **one** envelope, and the fabric
-    /// keeps coalescing them per destination at every later hop (routing,
-    /// repair, and the final applies — which install under a single state
-    /// lock with one structural rebuild per same-kind run and one snapshot
-    /// publish).
-    fn submit_update_batch(
-        &self,
-        client: &EngineClient<D>,
-        ops: &[(usize, UpdateKind, D::Item)],
+        snap: &Arc<Snapshot<D>>,
+        ops: &[Op<D>],
+        retag: Option<u64>,
     ) -> Result<Vec<u64>, RuntimeError> {
-        let snap = self.shared.current();
         let corrs: Vec<u64> = ops
             .iter()
             .map(|_| client.next_corr.fetch_add(1, Ordering::Relaxed))
             .collect();
-        let make = |i: usize, at: GlobalRef, phase: UpdatePhase| {
-            let (_, kind, ref item) = ops[i];
-            EngineMsg {
-                op: EngineOp::Update(UpdateOp {
-                    kind,
-                    item: item.clone(),
-                    phase,
-                    op_id: corrs[i],
-                }),
+        let planned = |i: usize| -> Result<(HostId, EngineMsg<D>), RuntimeError> {
+            let (host, at, op) = self.plan(snap, &ops[i], retag.unwrap_or(corrs[i]))?;
+            let msg = EngineMsg {
+                op,
                 at,
                 client: client.id(),
                 corr: corrs[i],
                 hops: 0,
-                snap: Arc::clone(&snap),
-            }
+                snap: Arc::clone(snap),
+            };
+            Ok((host, msg))
         };
-        // Plan every op under the shared snapshot, then bucket by entry
-        // host so each host receives one envelope.
-        let mut groups: BTreeMap<HostId, Vec<usize>> = BTreeMap::new();
-        let mut plans: Vec<(GlobalRef, UpdatePhase)> = Vec::with_capacity(ops.len());
         let sent = (|| -> Result<(), RuntimeError> {
-            for (i, (origin, kind, item)) in ops.iter().enumerate() {
-                let (host, at, phase) = self.plan_update(&snap, *origin, *kind, item)?;
-                groups.entry(host).or_default().push(i);
-                plans.push((at, phase));
+            let mut groups: BTreeMap<HostId, (Vec<usize>, Vec<EngineMsg<D>>)> = BTreeMap::new();
+            for i in 0..ops.len() {
+                let (host, msg) = planned(i)?;
+                let (idxs, msgs) = groups.entry(host).or_default();
+                idxs.push(i);
+                msgs.push(msg);
             }
-            for (host, idxs) in groups {
-                let msgs: Vec<EngineMsg<D>> = idxs
-                    .iter()
-                    .map(|&i| make(i, plans[i].0, plans[i].1.clone()))
-                    .collect();
-                match client.inner.send(host, Self::envelope(msgs)) {
+            for (host, (idxs, msgs)) in groups {
+                match client.inner.send(host, FabricMsg { ops: msgs }) {
                     Ok(()) => continue,
                     Err(RuntimeError::HostPanicked(_)) => {}
                     Err(e) => return Err(e),
                 }
                 // The group's entry host died between planning and send,
-                // taking the envelope with it: immediately re-plan each op
-                // against the fresh membership and deliver it individually
-                // — as the serial submit path would — instead of leaving
-                // the whole group to crawl through per-op timeout
-                // resubmits.
-                for &i in &idxs {
-                    let (origin, kind, item) = &ops[i];
+                // taking the envelope with it. The failed send proves the
+                // fresh membership now reports it dead, so re-planning each
+                // op and delivering it on its own converges on a replica
+                // (or on Unavailable) instead of leaving the whole group to
+                // crawl through per-op timeout resubmits.
+                for i in idxs {
                     let mut delivered = false;
                     for _ in 0..4 {
-                        let (h, at, phase) = self.plan_update(&snap, *origin, *kind, item)?;
-                        match client.inner.send(h, FabricMsg::One(make(i, at, phase))) {
+                        let (host, msg) = planned(i)?;
+                        match client.inner.send(host, FabricMsg { ops: vec![msg] }) {
                             Ok(()) => {
                                 delivered = true;
                                 break;
@@ -2603,26 +2271,31 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         Ok(corrs)
     }
 
-    /// Waits for one update's outcome, resubmitting once — re-tagged with
-    /// the original `op_id` — when the wait times out while a host is dead
-    /// (the signature of an update lost in a crashed host's mailbox). The
-    /// apply path's idempotence ledger makes the retry exactly-once: if the
-    /// first attempt actually landed, the resubmit is echoed its recorded
-    /// outcome instead of applying again.
-    fn collect_update(
+    /// Waits for one op's outcome under correlation id `corr` (its first
+    /// attempt's, which is also its op id): gathers scatter partials into
+    /// one merged answer, and resubmits on a timeout while a host is dead
+    /// (on a lossy transport, on any timeout) — the signature of a message
+    /// lost in a crashed host's mailbox. Queries simply resubmit; updates
+    /// are re-tagged with the original op id, so the idempotence ledger
+    /// echoes a first attempt that actually landed instead of applying it
+    /// twice. Abandoned attempts' late replies are dropped and counted.
+    fn collect(
         &self,
         client: &EngineClient<D>,
+        op: &Op<D>,
         mut corr: u64,
-        op_id: u64,
-        origin: usize,
-        kind: UpdateKind,
-        item: &D::Item,
-    ) -> Result<UpdateReply, RuntimeError> {
+    ) -> Result<EngineReply<D>, RuntimeError> {
+        let op_id = corr;
+        let query = matches!(op, Op::Query { .. });
+        let gather = matches!(op, Op::Query { gather: true, .. });
         let policy = client.timeouts();
-        let timeout = policy.update;
-        // Same budget split as `collect_query` under a lossy transport;
-        // resubmitted updates stay exactly-once through the idempotence
-        // ledger keyed on `(client, op_id)`.
+        let timeout = if query { policy.query } else { policy.update };
+        // A timeout normally signals an op lost in a crashed host's
+        // mailbox, so the small lossless budget (default 1, spent only
+        // while a host is dead) suffices. On a lossy transport *any* hop
+        // can silently drop the operation even with every host alive, so
+        // the wider lossy budget applies: retry on every timeout (see
+        // [`Timeouts::lossy_resubmits`] for the residual-failure math).
         let lossy = self.runtime.transport_lossy();
         let max_resubmits = if lossy {
             policy.lossy_resubmits
@@ -2630,42 +2303,58 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
             policy.resubmits
         };
         let mut resubmits = 0usize;
+        let mut parts: Vec<D::Answer> = Vec::new();
+        let mut hops_max = 0u32;
         loop {
             match client.recv_corr(corr, timeout) {
-                Ok(reply) => {
-                    return match reply.body {
-                        ReplyBody::Updated { applied } => Ok(UpdateReply {
-                            corr,
-                            applied,
-                            hops: reply.hops,
-                        }),
-                        ReplyBody::Unavailable => Err(RuntimeError::Unavailable),
-                        ReplyBody::Answer(_) | ReplyBody::Partial { .. } => {
-                            unreachable!("update correlation id matched a query")
+                Ok(reply) => match reply.body {
+                    ReplyBody::Answer(_) if query => return Ok(reply),
+                    ReplyBody::Updated { .. } if !query => return Ok(reply),
+                    ReplyBody::Partial { answer, of } if gather => {
+                        hops_max = hops_max.max(reply.hops);
+                        parts.push(answer);
+                        if parts.len() as u32 >= of {
+                            return Ok(EngineReply {
+                                corr,
+                                hops: hops_max,
+                                body: ReplyBody::Answer(D::merge_answers(std::mem::take(
+                                    &mut parts,
+                                ))),
+                            });
                         }
-                    };
-                }
+                    }
+                    ReplyBody::Unavailable => {
+                        // Stragglers of a partially-delivered report are
+                        // dropped on arrival, not parked.
+                        client.mark_stale(corr);
+                        return Err(RuntimeError::Unavailable);
+                    }
+                    // A body of the wrong kind for this op is wire input
+                    // from a confused (or malicious) peer: drop and count
+                    // it, and let the op finish through the timeout and
+                    // resubmit path below.
+                    _ => client.inner.note_stale_reply(),
+                },
                 Err(RuntimeError::Timeout)
                     if resubmits < max_resubmits
                         && (lossy || self.runtime.membership().first_dead().is_some()) =>
                 {
                     resubmits += 1;
-                    // Abandon the first attempt: its late reply (if it was
-                    // merely slow, not lost) is dropped and counted.
+                    // The abandoned attempt's late replies, if it was merely
+                    // slow rather than lost, are discarded rather than
+                    // parked in the pending buffer forever.
                     client.mark_stale(corr);
+                    parts.clear();
+                    hops_max = 0;
                     let snap = self.shared.current();
-                    // The snapshot may have shrunk since the origin was
-                    // chosen; clamp it — the lookup origin only seeds the
-                    // descent, any valid item works.
-                    let origin = origin.min(snap.web.len().saturating_sub(1));
-                    corr = self.submit_update_at(
-                        client,
-                        snap,
-                        origin,
-                        kind,
-                        item.clone(),
-                        Some(op_id),
-                    )?;
+                    let mut op = op.clone();
+                    if let Op::Insert { origin, .. } | Op::Remove { origin, .. } = &mut op {
+                        // The snapshot may have shrunk since the origin was
+                        // chosen; clamp it — the lookup origin only seeds
+                        // the descent, any valid item works.
+                        *origin = (*origin).min(snap.web.len().saturating_sub(1));
+                    }
+                    corr = self.send(client, &snap, std::slice::from_ref(&op), Some(op_id))?[0];
                 }
                 Err(e) => {
                     client.mark_stale(corr);
@@ -2675,14 +2364,82 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         }
     }
 
+    /// Runs one op under `snap`, a batch of one: the shared path of the
+    /// blocking wrappers.
+    fn run_one(
+        &self,
+        client: &EngineClient<D>,
+        snap: Arc<Snapshot<D>>,
+        op: Op<D>,
+    ) -> Result<EngineReply<D>, RuntimeError> {
+        let corr = self.send(client, &snap, std::slice::from_ref(&op), None)?[0];
+        // Let go of the admission snapshot before waiting: a client that
+        // holds a retired web would free it on its own thread, inside the
+        // operation's latency, once the fabric drops its copies.
+        drop(snap);
+        self.collect(client, &op, corr)
+    }
+
+    /// Runs one update under `snap` (see [`run_one`](Self::run_one)).
+    fn update(
+        &self,
+        client: &EngineClient<D>,
+        snap: Arc<Snapshot<D>>,
+        op: Op<D>,
+    ) -> Result<UpdateReply, RuntimeError> {
+        match self.run_one(client, snap, op)? {
+            EngineReply {
+                corr,
+                hops,
+                body: ReplyBody::Updated { applied },
+            } => Ok(UpdateReply {
+                corr,
+                applied,
+                hops,
+            }),
+            _ => unreachable!("collect completes an update only with its outcome"),
+        }
+    }
+
+    /// Runs one query end to end ([`Op::Query`] without `gather`, see
+    /// [`run`](Self::run)), blocking up to the client's query timeout
+    /// (default 10 s).
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `origin_item` is out of bounds.
+    pub fn query(
+        &self,
+        client: &EngineClient<D>,
+        origin_item: usize,
+        req: D::Request,
+    ) -> Result<QueryReply<D>, RuntimeError> {
+        let op = Op::Query {
+            origin: origin_item,
+            req,
+            gather: false,
+        };
+        match self.run_one(client, self.shared.current(), op)? {
+            EngineReply {
+                corr,
+                hops,
+                body: ReplyBody::Answer(answer),
+            } => Ok(QueryReply { corr, answer, hops }),
+            _ => unreachable!("collect completes a query only with its answer"),
+        }
+    }
+
     /// Runs one insert end to end with an explicit origin and bit string
-    /// (see [`submit_insert`](Self::submit_insert)), blocking up to the
+    /// ([`Op::Insert`], see [`run`](Self::run)), blocking up to the
     /// client's update timeout (default 30 s).
     ///
     /// # Errors
     ///
-    /// Propagates runtime errors (host down or panicked, timeout,
-    /// disconnect).
+    /// As [`run`](Self::run).
     ///
     /// # Panics
     ///
@@ -2694,19 +2451,17 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         item: D::Item,
         bits: u64,
     ) -> Result<UpdateReply, RuntimeError> {
-        let kind = UpdateKind::Insert { bits };
-        let corr = self.submit_update(client, origin, kind, item.clone())?;
-        self.collect_update(client, corr, corr, origin, kind, &item)
+        let op = Op::Insert { origin, item, bits };
+        self.update(client, self.shared.current(), op)
     }
 
-    /// Runs one remove end to end with an explicit origin (see
-    /// [`submit_remove`](Self::submit_remove)), blocking up to the
-    /// client's update timeout (default 30 s).
+    /// Runs one remove end to end with an explicit origin ([`Op::Remove`],
+    /// see [`run`](Self::run)), blocking up to the client's update timeout
+    /// (default 30 s).
     ///
     /// # Errors
     ///
-    /// Propagates runtime errors (host down or panicked, timeout,
-    /// disconnect).
+    /// As [`run`](Self::run).
     ///
     /// # Panics
     ///
@@ -2717,8 +2472,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         origin: usize,
         item: D::Item,
     ) -> Result<UpdateReply, RuntimeError> {
-        let corr = self.submit_remove(client, origin, item.clone())?;
-        self.collect_update(client, corr, corr, origin, UpdateKind::Remove, &item)
+        self.update(client, self.shared.current(), Op::Remove { origin, item })
     }
 
     /// Runs one insert end to end, drawing the lookup origin and the
@@ -2727,8 +2481,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     ///
     /// # Errors
     ///
-    /// Propagates runtime errors (host down or panicked, timeout,
-    /// disconnect).
+    /// As [`run`](Self::run).
     pub fn insert(
         &self,
         client: &EngineClient<D>,
@@ -2743,9 +2496,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
             let origin = if len > 0 { st.rng.gen_range(0..len) } else { 0 };
             (origin, st.rng.gen())
         };
-        let kind = UpdateKind::Insert { bits };
-        let corr = self.submit_update_at(client, snap, origin, kind, item.clone(), None)?;
-        self.collect_update(client, corr, corr, origin, kind, &item)
+        self.update(client, snap, Op::Insert { origin, item, bits })
     }
 
     /// Runs one remove end to end, drawing the lookup origin from the
@@ -2754,8 +2505,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
     ///
     /// # Errors
     ///
-    /// Propagates runtime errors (host down or panicked, timeout,
-    /// disconnect).
+    /// As [`run`](Self::run).
     pub fn remove(
         &self,
         client: &EngineClient<D>,
@@ -2769,143 +2519,7 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
         } else {
             0
         };
-        let corr =
-            self.submit_update_at(client, snap, origin, UpdateKind::Remove, item.clone(), None)?;
-        self.collect_update(client, corr, corr, origin, UpdateKind::Remove, &item)
-    }
-
-    /// Runs a batch of inserts with explicit `(origin, item, bits)` triples
-    /// end to end — the deterministic batched counterpart of
-    /// [`insert_with`](Self::insert_with), returning per-op outcomes in
-    /// submission order. All ops are admitted under one snapshot, coalesce
-    /// per destination host at every hop ([`FabricMsg::Batch`]), and the
-    /// applies that land on one host together install with a single
-    /// structural rebuild and a single snapshot publish — so a batch of N
-    /// inserts crosses fewer host boundaries than N serial calls while
-    /// leaving byte-identical state and applied flags (for distinct items;
-    /// ops on the *same* item race by arrival order, as concurrent serial
-    /// clients would). Lost ops resubmit exactly-once like `insert_with`.
-    ///
-    /// # Errors
-    ///
-    /// As [`insert_with`](Self::insert_with), per op — the first failing op
-    /// aborts the collection.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an origin is out of bounds on a non-empty web.
-    pub fn insert_batch_with(
-        &self,
-        client: &EngineClient<D>,
-        ops: Vec<(usize, D::Item, u64)>,
-    ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let planned: Vec<(usize, UpdateKind, D::Item)> = ops
-            .into_iter()
-            .map(|(origin, item, bits)| (origin, UpdateKind::Insert { bits }, item))
-            .collect();
-        self.update_batch(client, planned)
-    }
-
-    /// Runs a batch of inserts end to end, drawing each op's lookup origin
-    /// and level bits from the engine's seeded generator — the batched
-    /// counterpart of [`insert`](Self::insert).
-    ///
-    /// # Errors
-    ///
-    /// As [`insert`](Self::insert), per op.
-    pub fn insert_batch(
-        &self,
-        client: &EngineClient<D>,
-        items: Vec<D::Item>,
-    ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let len = self.len();
-        let planned: Vec<(usize, UpdateKind, D::Item)> = {
-            let mut st = self.shared.state.lock();
-            items
-                .into_iter()
-                .map(|item| {
-                    let origin = if len > 0 { st.rng.gen_range(0..len) } else { 0 };
-                    let bits: u64 = st.rng.gen();
-                    (origin, UpdateKind::Insert { bits }, item)
-                })
-                .collect()
-        };
-        self.update_batch(client, planned)
-    }
-
-    /// Runs a batch of removes with explicit `(origin, item)` pairs end to
-    /// end — the batched counterpart of [`remove_with`](Self::remove_with);
-    /// see [`insert_batch_with`](Self::insert_batch_with) for the batching
-    /// semantics.
-    ///
-    /// # Errors
-    ///
-    /// As [`remove_with`](Self::remove_with), per op.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an origin is out of bounds when its lookup phase runs.
-    pub fn remove_batch_with(
-        &self,
-        client: &EngineClient<D>,
-        ops: Vec<(usize, D::Item)>,
-    ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let planned: Vec<(usize, UpdateKind, D::Item)> = ops
-            .into_iter()
-            .map(|(origin, item)| (origin, UpdateKind::Remove, item))
-            .collect();
-        self.update_batch(client, planned)
-    }
-
-    /// Runs a batch of removes end to end, drawing lookup origins from the
-    /// engine's seeded generator — the batched counterpart of
-    /// [`remove`](Self::remove).
-    ///
-    /// # Errors
-    ///
-    /// As [`remove`](Self::remove), per op.
-    pub fn remove_batch(
-        &self,
-        client: &EngineClient<D>,
-        items: Vec<D::Item>,
-    ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        let len = self.len();
-        let planned: Vec<(usize, UpdateKind, D::Item)> = {
-            let mut st = self.shared.state.lock();
-            items
-                .into_iter()
-                .map(|item| {
-                    let origin = if len > 0 { st.rng.gen_range(0..len) } else { 0 };
-                    (origin, UpdateKind::Remove, item)
-                })
-                .collect()
-        };
-        self.update_batch(client, planned)
-    }
-
-    fn update_batch(
-        &self,
-        client: &EngineClient<D>,
-        ops: Vec<(usize, UpdateKind, D::Item)>,
-    ) -> Result<Vec<UpdateReply>, RuntimeError> {
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
-        let corrs = self.submit_update_batch(client, &ops)?;
-        let mut replies = Vec::with_capacity(corrs.len());
-        for (i, (&corr, (origin, kind, item))) in corrs.iter().zip(ops).enumerate() {
-            match self.collect_update(client, corr, corr, origin, kind, &item) {
-                Ok(reply) => replies.push(reply),
-                Err(e) => {
-                    // Abandon the uncollected tail (see `query_batch`).
-                    for &stale in &corrs[i + 1..] {
-                        client.mark_stale(stale);
-                    }
-                    return Err(e);
-                }
-            }
-        }
-        Ok(replies)
+        self.update(client, snap, Op::Remove { origin, item })
     }
 
     /// A snapshot of the current ground set, in canonical order.
@@ -3162,14 +2776,43 @@ mod tests {
     use crate::multidim::{
         QuadtreeAnswer, QuadtreeRequest, QuadtreeSkipWeb, TrapezoidSkipWeb, TrieSkipWeb,
     };
+    use skipweb_net::runtime::{Delivery, ReplyDelivery};
     use skipweb_net::sim::MessageMeter;
+    use skipweb_net::transport::CarryStatus;
     use skipweb_structures::quadtree::PointKey;
     use skipweb_structures::trapezoid::Segment;
+    use skipweb_structures::SortedLinkedList;
 
     fn grid_points(n: u32) -> Vec<PointKey<2>> {
         (0..n)
             .map(|i| PointKey::new([i * 104_729 + 13, i * 49_979 + 7]))
             .collect()
+    }
+
+    /// One plain query per request, all entering at `origin`.
+    fn queries(origin: usize, reqs: &[u64]) -> Vec<Op<SortedLinkedList>> {
+        reqs.iter()
+            .map(|&req| Op::Query {
+                origin,
+                req,
+                gather: false,
+            })
+            .collect()
+    }
+
+    /// Runs one scatter-gathered query end to end.
+    fn gather<D: Routable + Send + Sync + 'static>(
+        dist: &DistributedSkipWeb<D>,
+        client: &EngineClient<D>,
+        origin: usize,
+        req: D::Request,
+    ) -> EngineReply<D> {
+        let op = Op::Query {
+            origin,
+            req,
+            gather: true,
+        };
+        dist.run(client, vec![op]).unwrap().remove(0)
     }
 
     #[test]
@@ -3500,23 +3143,25 @@ mod tests {
             .inner
             .send(
                 HostId(5),
-                FabricMsg::One(EngineMsg {
-                    op: EngineOp::Update(UpdateOp {
-                        kind: UpdateKind::Insert { bits: 1 },
-                        item: 7,
-                        phase: UpdatePhase::Route,
-                        op_id: 777,
-                    }),
-                    at: GlobalRef {
-                        level: 0,
-                        set: 0,
-                        range: u32::MAX,
-                    },
-                    client: client.id(),
-                    corr: 777,
-                    hops: 0,
-                    snap,
-                }),
+                FabricMsg {
+                    ops: vec![EngineMsg {
+                        op: EngineOp::Update(UpdateOp {
+                            kind: UpdateKind::Insert { bits: 1 },
+                            item: 7,
+                            phase: UpdatePhase::Route,
+                            op_id: 777,
+                        }),
+                        at: GlobalRef {
+                            level: 0,
+                            set: 0,
+                            range: u32::MAX,
+                        },
+                        client: client.id(),
+                        corr: 777,
+                        hops: 0,
+                        snap,
+                    }],
+                },
             )
             .unwrap();
         // The blocked client surfaces the lost op as a timeout, not a hang.
@@ -3752,10 +3397,10 @@ mod tests {
             .map(|&q| serial.query(&cs, 3, q).unwrap().answer)
             .collect();
         let got: Vec<Option<u64>> = batched
-            .query_batch(&cb, 3, qs.clone())
+            .run(&cb, queries(3, &qs))
             .unwrap()
             .into_iter()
-            .map(|r| r.answer)
+            .map(|r| r.try_into_answer().unwrap())
             .collect();
         assert_eq!(got, want);
         let (q_serial, q_batched) = (serial.message_count(), batched.message_count());
@@ -3765,12 +3410,7 @@ mod tests {
         );
         // Per-op hops still equal the serial route length: the envelope is
         // what got cheaper, not the route.
-        for (reply, &q) in batched
-            .query_batch(&cb, 5, qs.clone())
-            .unwrap()
-            .iter()
-            .zip(&qs)
-        {
+        for (reply, &q) in batched.run(&cb, queries(5, &qs)).unwrap().iter().zip(&qs) {
             let serial_reply = serial.query(&cs, 5, q).unwrap();
             assert_eq!(reply.hops, serial_reply.hops, "route length for q={q}");
         }
@@ -3786,10 +3426,15 @@ mod tests {
             .map(|&(o, k, b)| serial.insert_with(&cs, o, k, b).unwrap().applied)
             .collect();
         let batch_flags: Vec<bool> = batched
-            .insert_batch_with(&cb, ins.clone())
+            .run(
+                &cb,
+                ins.iter()
+                    .map(|&(origin, item, bits)| Op::Insert { origin, item, bits })
+                    .collect(),
+            )
             .unwrap()
             .into_iter()
-            .map(|r| r.applied)
+            .map(|r| r.try_applied().unwrap())
             .collect();
         assert_eq!(batch_flags, serial_flags);
         assert_eq!(batched.ground(), serial.ground());
@@ -3799,10 +3444,15 @@ mod tests {
             .map(|&(o, k)| serial.remove_with(&cs, o, k).unwrap().applied)
             .collect();
         let batch_flags: Vec<bool> = batched
-            .remove_batch_with(&cb, rem)
+            .run(
+                &cb,
+                rem.into_iter()
+                    .map(|(origin, item)| Op::Remove { origin, item })
+                    .collect(),
+            )
             .unwrap()
             .into_iter()
-            .map(|r| r.applied)
+            .map(|r| r.try_applied().unwrap())
             .collect();
         assert_eq!(batch_flags, serial_flags);
         assert_eq!(batched.ground(), serial.ground());
@@ -3831,18 +3481,18 @@ mod tests {
             let serial = dist
                 .query(&client, origin, QuadtreeRequest::InBox { lo, hi })
                 .unwrap();
-            let scattered = dist
-                .query_scatter(&client, origin, QuadtreeRequest::InBox { lo, hi })
-                .unwrap();
-            assert_eq!(scattered.answer, serial.answer, "box {lo:?}..{hi:?}");
+            let scattered = gather(&dist, &client, origin, QuadtreeRequest::InBox { lo, hi });
+            assert_eq!(
+                scattered.try_answer().unwrap(),
+                &serial.answer,
+                "box {lo:?}..{hi:?}"
+            );
         }
         // A locate request has nothing to scatter and falls back serially.
         let q = PointKey::new([7, 9]);
         let serial = dist.query(&client, 0, QuadtreeRequest::Locate(q)).unwrap();
-        let scattered = dist
-            .query_scatter(&client, 0, QuadtreeRequest::Locate(q))
-            .unwrap();
-        assert_eq!(scattered.answer, serial.answer);
+        let scattered = gather(&dist, &client, 0, QuadtreeRequest::Locate(q));
+        assert_eq!(scattered.try_answer().unwrap(), &serial.answer);
         assert_eq!(scattered.hops, serial.hops);
         dist.shutdown();
 
@@ -3855,15 +3505,15 @@ mod tests {
         for prefix in ["isbn-97802", "isbn-978020", "isbn", "nope", ""] {
             let origin = web.random_origin(prefix.len() as u64);
             let serial = dist.query(&client, origin, prefix.to_string()).unwrap();
-            let scattered = dist
-                .query_scatter(&client, origin, prefix.to_string())
+            let scattered = gather(&dist, &client, origin, prefix.to_string())
+                .try_into_answer()
                 .unwrap();
             assert_eq!(
-                scattered.answer.matched_len, serial.answer.matched_len,
+                scattered.matched_len, serial.answer.matched_len,
                 "len {prefix:?}"
             );
             assert_eq!(
-                scattered.answer.matches, serial.answer.matches,
+                scattered.matches, serial.answer.matches,
                 "matches {prefix:?}"
             );
         }
@@ -3887,14 +3537,17 @@ mod tests {
             )
             .unwrap();
         dist.kill_host(HostId(9));
-        let got = dist
-            .query_scatter(
-                &client,
-                web.random_origin(1),
-                QuadtreeRequest::InBox { lo, hi },
-            )
-            .unwrap();
-        assert_eq!(got.answer, want.answer, "scatter steers around the crash");
+        let got = gather(
+            &dist,
+            &client,
+            web.random_origin(1),
+            QuadtreeRequest::InBox { lo, hi },
+        );
+        assert_eq!(
+            got.try_answer().unwrap(),
+            &want.answer,
+            "scatter steers around the crash"
+        );
         dist.shutdown();
     }
 
@@ -3907,28 +3560,17 @@ mod tests {
             .spawn();
         let client = dist.client();
         // First attempt of the logical insert lands normally.
+        let op = Op::Insert {
+            origin: 3,
+            item: 333,
+            bits: 0xBEEF,
+        };
         let snap = dist.shared.current();
         let corr0 = dist
-            .submit_update_at(
-                &client,
-                snap,
-                3,
-                UpdateKind::Insert { bits: 0xBEEF },
-                333,
-                None,
-            )
-            .unwrap();
-        let first = dist
-            .collect_update(
-                &client,
-                corr0,
-                corr0,
-                3,
-                UpdateKind::Insert { bits: 0xBEEF },
-                &333,
-            )
-            .unwrap();
-        assert!(first.applied);
+            .send(&client, &snap, std::slice::from_ref(&op), None)
+            .unwrap()[0];
+        let first = dist.collect(&client, &op, corr0).unwrap();
+        assert!(first.try_applied().unwrap());
         assert!(dist.ground().contains(&333));
         // A concurrent client removes the key before the (simulated)
         // timeout-resubmit of the original attempt arrives.
@@ -3941,26 +3583,13 @@ mod tests {
         // the removed key.
         let snap = dist.shared.current();
         let corr1 = dist
-            .submit_update_at(
-                &client,
-                snap,
-                3,
-                UpdateKind::Insert { bits: 0xBEEF },
-                333,
-                Some(corr0),
-            )
-            .unwrap();
-        let replay = dist
-            .collect_update(
-                &client,
-                corr1,
-                corr0,
-                3,
-                UpdateKind::Insert { bits: 0xBEEF },
-                &333,
-            )
-            .unwrap();
-        assert!(replay.applied, "echoed outcome reports the first landing");
+            .send(&client, &snap, std::slice::from_ref(&op), Some(corr0))
+            .unwrap()[0];
+        let replay = dist.collect(&client, &op, corr1).unwrap();
+        assert!(
+            replay.try_applied().unwrap(),
+            "echoed outcome reports the first landing"
+        );
         assert!(
             !dist.ground().contains(&333),
             "the resubmit must not re-apply the insert"
@@ -3997,21 +3626,23 @@ mod tests {
             .inner
             .send(
                 entry_host,
-                FabricMsg::One(EngineMsg {
-                    op: EngineOp::Query {
-                        req: 0u64,
-                        gather: false,
-                    },
-                    at: GlobalRef {
-                        level: 0,
-                        set: 0,
-                        range: u32::MAX,
-                    },
-                    client: client.id(),
-                    corr: u64::MAX,
-                    hops: 0,
-                    snap: Arc::clone(&snap),
-                }),
+                FabricMsg {
+                    ops: vec![EngineMsg {
+                        op: EngineOp::Query {
+                            req: 0u64,
+                            gather: false,
+                        },
+                        at: GlobalRef {
+                            level: 0,
+                            set: 0,
+                            range: u32::MAX,
+                        },
+                        client: client.id(),
+                        corr: u64::MAX,
+                        hops: 0,
+                        snap: Arc::clone(&snap),
+                    }],
+                },
             )
             .unwrap();
         let before = dist.health().topology_version;
@@ -4033,7 +3664,7 @@ mod tests {
         let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(47).build();
         let dist = DistributedSkipWeb::builder(web.inner()).spawn();
         let client = dist.client();
-        let corr = dist.submit(&client, 0, 55u64).unwrap();
+        let corr = dist.submit(&client, queries(0, &[55])).unwrap()[0];
         // Abandon the operation before draining its reply: the late answer
         // must be dropped on arrival — and counted — instead of sitting in
         // the pending buffer where a later recv_any would misread it.
@@ -4049,6 +3680,61 @@ mod tests {
         dist.shutdown();
     }
 
+    /// Delivers everything in-process, but rewrites the first query answer
+    /// it carries into an update outcome — a confused peer's reply — and
+    /// reports itself lossy, so an op that times out resubmits even with
+    /// every host alive.
+    struct ConfusedReplies {
+        rewritten: std::sync::atomic::AtomicBool,
+    }
+
+    impl Transport<FabricMsg<SortedLinkedList>, EngineReply<SortedLinkedList>> for ConfusedReplies {
+        fn carry(
+            &self,
+            msg: FabricMsg<SortedLinkedList>,
+            delivery: Delivery<FabricMsg<SortedLinkedList>, EngineReply<SortedLinkedList>>,
+        ) -> CarryStatus {
+            delivery.deliver(msg)
+        }
+
+        fn carry_reply(
+            &self,
+            mut reply: EngineReply<SortedLinkedList>,
+            delivery: ReplyDelivery<FabricMsg<SortedLinkedList>, EngineReply<SortedLinkedList>>,
+        ) {
+            if matches!(reply.body, ReplyBody::Answer(_))
+                && !self.rewritten.swap(true, Ordering::SeqCst)
+            {
+                reply.body = ReplyBody::Updated { applied: true };
+            }
+            delivery.deliver(reply);
+        }
+
+        fn is_lossy(&self) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn a_reply_of_the_wrong_kind_is_dropped_not_fatal() {
+        let keys: Vec<u64> = (0..64).map(|i| i * 10).collect();
+        let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(49).build();
+        let dist = DistributedSkipWeb::builder(web.inner())
+            .consolidated(4)
+            .transport(Arc::new(ConfusedReplies {
+                rewritten: std::sync::atomic::AtomicBool::new(false),
+            }))
+            .timeouts(Timeouts::uniform(Duration::from_millis(200)))
+            .spawn();
+        let client = dist.client();
+        // The first answer arrives as an update outcome: the client drops
+        // it, times out, and resubmits instead of panicking.
+        let reply = dist.query(&client, 0, 137).unwrap();
+        assert_eq!(reply.answer, Some(140));
+        assert!(dist.traffic().stale_replies >= 1, "the drop is counted");
+        dist.shutdown();
+    }
+
     #[test]
     fn client_timeouts_are_configurable_per_client() {
         let web = crate::onedim::OneDimSkipWeb::builder(vec![1, 2, 3])
@@ -4056,20 +3742,20 @@ mod tests {
             .build();
         let dist = DistributedSkipWeb::builder(web.inner()).spawn();
         let client = dist.client();
-        assert_eq!(client.query_timeout(), DEFAULT_QUERY_TIMEOUT);
-        assert_eq!(client.update_timeout(), DEFAULT_UPDATE_TIMEOUT);
+        assert_eq!(client.timeouts().query, DEFAULT_QUERY_TIMEOUT);
+        assert_eq!(client.timeouts().update, DEFAULT_UPDATE_TIMEOUT);
         client.set_timeouts(Timeouts::uniform(Duration::from_millis(250)));
-        assert_eq!(client.query_timeout(), Duration::from_millis(250));
-        assert_eq!(client.update_timeout(), Duration::from_millis(250));
+        assert_eq!(client.timeouts().query, Duration::from_millis(250));
+        assert_eq!(client.timeouts().update, Duration::from_millis(250));
         client.set_timeouts(Timeouts::new(
             Duration::from_secs(1),
             Duration::from_secs(2),
         ));
-        assert_eq!(client.query_timeout(), Duration::from_secs(1));
-        assert_eq!(client.update_timeout(), Duration::from_secs(2));
+        assert_eq!(client.timeouts().query, Duration::from_secs(1));
+        assert_eq!(client.timeouts().update, Duration::from_secs(2));
         // A second client keeps the defaults: the setting is per client.
         let other = dist.client();
-        assert_eq!(other.query_timeout(), DEFAULT_QUERY_TIMEOUT);
+        assert_eq!(other.timeouts().query, DEFAULT_QUERY_TIMEOUT);
         dist.shutdown();
     }
 }

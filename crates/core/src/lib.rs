@@ -17,14 +17,17 @@
 //! * [`multidim`] — quadtree/octree point location and approximate nearest
 //!   neighbour, trie prefix search, trapezoidal-map point location (§3).
 //! * [`engine`] — the generic distributed engine: any of the above served
-//!   by the threaded actor runtime with real message passing, correlation-id
-//!   clients, per-host traffic counters, and live dynamic updates (§4):
-//!   inserts/removes route to their locus, repair the conflict
-//!   neighbourhoods bottom-up paying one message per host crossing, and
-//!   apply as an atomic topology-snapshot swap, so concurrent queries never
-//!   observe a half-applied update.
-//! * [`distributed`] — the stable 1-D entry point, a thin wrapper over
-//!   [`engine`].
+//!   by the threaded actor runtime with real message passing. Every client
+//!   operation is one [`engine::Op`] — a query, an insert or a remove —
+//!   submitted in a batch ([`engine::DistributedSkipWeb::submit`] /
+//!   [`run`](engine::DistributedSkipWeb::run), plus five blocking
+//!   single-op wrappers) and matched to its reply by correlation id. An
+//!   insert/remove is a query first (§4): it routes to its locus, repairs
+//!   the conflict neighbourhoods bottom-up paying one message per host
+//!   crossing, and applies by publishing the changed web as the next
+//!   snapshot in one atomic swap, so concurrent queries never observe a
+//!   half-applied update.
+//! * [`distributed`] — type aliases naming the 1-D instance of [`engine`].
 //!
 //! # Quickstart
 //!

@@ -16,7 +16,7 @@
 //!              | 2 · of u32 · ranges (u32 len + u32 each) · Request  (scatter)
 //! kind        := 0 · bits u64 (insert) | 1 (remove)
 //! phase       := 0 (route) | 1 · cursor u64 · trail (u32 len + u32 each)
-//! FabricMsg   := 0 · EngineMsg | 1 · count u32 · EngineMsg×count
+//! FabricMsg   := count u32 · EngineMsg×count
 //! EngineReply := corr u64 · hops u32 · body
 //! body        := 0 · Answer | 1 · Answer · of u32
 //!              | 2 · applied u8 | 3 (unavailable)
@@ -37,8 +37,8 @@ use skipweb_net::HostId;
 use skipweb_structures::traits::RangeId;
 
 use crate::engine::{
-    BatchMsg, EngineMsg, EngineOp, EngineReply, FabricMsg, GlobalRef, ReplyBody, Routable,
-    Snapshot, UpdateKind, UpdateOp, UpdatePhase,
+    EngineMsg, EngineOp, EngineReply, FabricMsg, GlobalRef, ReplyBody, Routable, Snapshot,
+    UpdateKind, UpdateOp, UpdatePhase,
 };
 
 /// A [`Routable`] structure whose leaf types can cross process boundaries:
@@ -188,18 +188,9 @@ fn decode_engine_msg<D: WireCodec>(
 /// [module docs](self)).
 pub(crate) fn encode_fabric_msg<D: WireCodec>(msg: &FabricMsg<D>) -> Vec<u8> {
     let mut buf = Vec::with_capacity(64);
-    match msg {
-        FabricMsg::One(m) => {
-            put_u8(&mut buf, 0);
-            encode_engine_msg(m, &mut buf);
-        }
-        FabricMsg::Batch(b) => {
-            put_u8(&mut buf, 1);
-            put_u32(&mut buf, b.ops.len() as u32);
-            for m in &b.ops {
-                encode_engine_msg(m, &mut buf);
-            }
-        }
+    put_u32(&mut buf, msg.ops.len() as u32);
+    for m in &msg.ops {
+        encode_engine_msg(m, &mut buf);
     }
     buf
 }
@@ -212,19 +203,12 @@ pub(crate) fn decode_fabric_msg<D: WireCodec>(
     snap: &Arc<Snapshot<D>>,
 ) -> Option<FabricMsg<D>> {
     let mut r = WireReader::new(bytes);
-    let msg = match r.read_u8()? {
-        0 => FabricMsg::One(decode_engine_msg(&mut r, snap)?),
-        1 => {
-            let count = r.read_u32()? as usize;
-            let mut ops = Vec::with_capacity(count.min(1024));
-            for _ in 0..count {
-                ops.push(decode_engine_msg(&mut r, snap)?);
-            }
-            FabricMsg::Batch(BatchMsg { ops })
-        }
-        _ => return None,
-    };
-    r.is_empty().then_some(msg)
+    let count = r.read_u32()? as usize;
+    let mut ops = Vec::with_capacity(count.min(1024));
+    for _ in 0..count {
+        ops.push(decode_engine_msg(&mut r, snap)?);
+    }
+    r.is_empty().then_some(FabricMsg { ops })
 }
 
 /// Serializes an engine reply.
@@ -396,7 +380,7 @@ mod tests {
             ranges: (0..seed % 4).map(|r| RangeId(r as u32)).collect(),
             of: (seed % 9) as u32,
         });
-        let batch = FabricMsg::Batch(BatchMsg {
+        let batch = FabricMsg {
             ops: vec![
                 mk(EngineOp::Query { req, gather: false }),
                 mk(EngineOp::Update(UpdateOp {
@@ -406,14 +390,9 @@ mod tests {
                     op_id: seed,
                 })),
             ],
-        });
-        vec![
-            FabricMsg::One(query),
-            FabricMsg::One(insert),
-            FabricMsg::One(remove),
-            FabricMsg::One(scatter),
-            batch,
-        ]
+        };
+        let one = |m| FabricMsg { ops: vec![m] };
+        vec![one(query), one(insert), one(remove), one(scatter), batch]
     }
 
     fn insert_item_clone<D: WireCodec>(msg: &EngineMsg<D>) -> D::Item {

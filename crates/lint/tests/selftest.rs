@@ -5,6 +5,9 @@
 //! code path the `skipweb-lint` binary runs — only the filesystem walk is
 //! bypassed.
 
+use std::path::{Path, PathBuf};
+use std::process::{Command, ExitStatus};
+
 use skipweb_lint::{apply_allowlist, lint_sources, parse_allowlist, Violation};
 
 const NO_UNWRAP: &str = include_str!("../fixtures/no_unwrap.rs");
@@ -171,4 +174,51 @@ fn committed_allowlist_is_clean_against_the_workspace() {
         "stale lint.allow entries:\n{}",
         outcome.stale_allow.join("\n")
     );
+}
+
+/// A throwaway workspace holding one strict-crate source file and an
+/// allowlist, removed on drop.
+struct ScratchWorkspace(PathBuf);
+
+impl ScratchWorkspace {
+    fn new(tag: &str, source: &str, allow: &str) -> Self {
+        let root = std::env::temp_dir().join(format!(
+            "skipweb-lint-selftest-{tag}-{}",
+            std::process::id()
+        ));
+        let src = root.join("crates/core/src");
+        std::fs::create_dir_all(&src).expect("create scratch workspace");
+        std::fs::write(root.join("Cargo.toml"), "[workspace]\n").expect("write manifest");
+        std::fs::write(src.join("lib.rs"), source).expect("write source");
+        std::fs::write(root.join("lint.allow"), allow).expect("write allowlist");
+        ScratchWorkspace(root)
+    }
+}
+
+impl Drop for ScratchWorkspace {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+fn run_binary(root: &Path) -> ExitStatus {
+    Command::new(env!("CARGO_BIN_EXE_skipweb-lint"))
+        .current_dir(root)
+        .output()
+        .expect("the lint binary runs")
+        .status
+}
+
+#[test]
+fn stale_allowlist_entries_fail_the_binary() {
+    let source = "pub fn first(v: Option<u8>) -> u8 {\n    v.expect(\"always set\")\n}\n";
+    let entry = "no-unwrap\tcrates/core/src/lib.rs\tv.expect(\"always set\")\n";
+    // Every violation allowlisted, every entry matching: the run passes.
+    let clean = ScratchWorkspace::new("clean", source, entry);
+    assert!(run_binary(&clean.0).success());
+    // One entry whose code is gone: the run fails although nothing new
+    // was flagged.
+    let stale_entry = "no-unwrap\tcrates/core/src/lib.rs\tgone.unwrap()\n";
+    let stale = ScratchWorkspace::new("stale", source, &format!("{entry}{stale_entry}"));
+    assert_eq!(run_binary(&stale.0).code(), Some(1));
 }

@@ -17,7 +17,9 @@ fn main() {
 
     // Serve the structure BEFORE the churn: the joins and departures below
     // are routed through the live network while it keeps answering queries.
-    let dist = DistributedOneDim::spawn_with_capacity(&web, web.hosts() + 60);
+    let dist = DistributedOneDim::builder(web.inner())
+        .capacity(web.hosts() + 60)
+        .spawn();
     println!("spawned {} host threads", dist.hosts());
     let writer = dist.client();
 
@@ -65,7 +67,7 @@ fn main() {
     );
 
     // The live network converged to the simulator's ground set.
-    assert_eq!(dist.keys(), web.keys().to_vec());
+    assert_eq!(dist.ground(), web.keys().to_vec());
 
     // Post-churn queries answered by real message passing, verified against
     // the simulator.
@@ -76,8 +78,9 @@ fn main() {
         let client = &clients[i % clients.len()];
         let origin = web.random_origin(i as u64);
         let got = dist
-            .nearest(client, origin, q)
+            .query(client, origin, q)
             .expect("runtime alive")
+            .answer
             .expect("nonempty web");
         let sim = web.nearest(origin, q).answer.nearest;
         assert_eq!(got, sim, "distributed answer must match the simulator");

@@ -7,6 +7,7 @@
 
 use std::time::Duration;
 
+use skipwebs::core::engine::Op;
 use skipwebs::core::multidim::{QuadtreeAnswer, QuadtreeRequest, QuadtreeSkipWeb, TrieSkipWeb};
 use skipwebs::structures::PointKey;
 
@@ -32,13 +33,12 @@ fn main() {
                 (s.wrapping_mul(0x9E37_79B9)) as u32,
                 (s.wrapping_mul(0x85EB_CA6B)) as u32,
             ]);
-            let corr = dist
-                .submit(
-                    &client,
-                    quadtree.random_origin(s),
-                    QuadtreeRequest::Locate(q),
-                )
-                .expect("runtime alive");
+            let op = Op::Query {
+                origin: quadtree.random_origin(s),
+                req: QuadtreeRequest::Locate(q),
+                gather: false,
+            };
+            let corr = dist.submit(&client, vec![op]).expect("runtime alive")[0];
             (corr, q)
         })
         .collect();

@@ -39,14 +39,19 @@ fn main() {
     // descends to its key's locus like a query, then repairs the conflict
     // neighbourhoods bottom-up; concurrent queries never observe it
     // half-applied.
-    let dist = DistributedOneDim::spawn_with_capacity(&web, web.hosts() + 8);
+    let dist = DistributedOneDim::builder(web.inner())
+        .capacity(web.hosts() + 8)
+        .spawn();
     let client = dist.client();
     let live = dist.insert(&client, 50_001).expect("runtime alive");
     println!(
         "live insert applied = {} in {} remote hops",
         live.applied, live.hops
     );
-    let nearest = dist.nearest(&client, 0, 50_000).expect("runtime alive");
+    let nearest = dist
+        .query(&client, 0, 50_000)
+        .expect("runtime alive")
+        .answer;
     assert_eq!(nearest, Some(50_001));
     assert!(dist.remove(&client, 50_001).expect("runtime alive").applied);
     println!(

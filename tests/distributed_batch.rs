@@ -1,5 +1,5 @@
 //! Batch/serial parity, property-tested: driving the same mixed churn
-//! workload through the `*_batch` entry points and the one-at-a-time paths
+//! workload through `run` batches and the one-at-a-time wrappers
 //! must return byte-identical answers, identical applied flags, and
 //! identical final structures on every deployment size — while the batch
 //! side's coalesced envelopes cross *fewer* metered host boundaries. This
@@ -12,11 +12,38 @@
 use proptest::collection;
 use proptest::prelude::*;
 
-use skipwebs::core::engine::DistributedSkipWeb;
+use skipwebs::core::engine::{DistributedSkipWeb, EngineReply, Op, Routable};
 use skipwebs::core::multidim::{QuadtreeRequest, QuadtreeSkipWeb, TrieSkipWeb};
 use skipwebs::core::onedim::OneDimSkipWeb;
+use skipwebs::structures::{PointKey, SortedLinkedList};
 
 const HOST_COUNTS: [usize; 3] = [1, 4, 16];
+
+/// One plain query per request, all entering at `origin`.
+fn queries(origin: usize, reqs: Vec<u64>) -> Vec<Op<SortedLinkedList>> {
+    reqs.into_iter()
+        .map(|req| Op::Query {
+            origin,
+            req,
+            gather: false,
+        })
+        .collect()
+}
+
+/// Runs one scatter-gathered query end to end.
+fn gather<D: Routable + Send + Sync + 'static>(
+    dist: &DistributedSkipWeb<D>,
+    client: &skipwebs::core::engine::EngineClient<D>,
+    origin: usize,
+    req: D::Request,
+) -> EngineReply<D> {
+    let op = Op::Query {
+        origin,
+        req,
+        gather: true,
+    };
+    dist.run(client, vec![op]).expect("runtime alive").remove(0)
+}
 
 #[test]
 fn batch_of_256_queries_on_16_hosts_crosses_measurably_fewer_boundaries() {
@@ -36,10 +63,10 @@ fn batch_of_256_queries_on_16_hosts_crosses_measurably_fewer_boundaries() {
         .map(|&q| serial.query(&cs, origin, q).expect("runtime alive").answer)
         .collect();
     let got: Vec<Option<u64>> = batched
-        .query_batch(&cb, origin, qs)
+        .run(&cb, queries(origin, qs))
         .expect("runtime alive")
         .into_iter()
-        .map(|r| r.answer)
+        .map(|r| r.try_into_answer().expect("query answers"))
         .collect();
     assert_eq!(got, want, "batch answers must be byte-identical");
     let (s, b) = (serial.traffic(), batched.traffic());
@@ -87,14 +114,17 @@ fn scattered_reports_match_serial_answers_on_consolidated_fabrics() {
                 QuadtreeRequest::InBox { lo, hi },
             )
             .expect("runtime alive");
-        let scattered = dist
-            .query_scatter(
-                &client,
-                web.random_origin(1),
-                QuadtreeRequest::InBox { lo, hi },
-            )
-            .expect("runtime alive");
-        assert_eq!(scattered.answer, serial.answer, "box {lo:?}..{hi:?}");
+        let scattered = gather(
+            &dist,
+            &client,
+            web.random_origin(1),
+            QuadtreeRequest::InBox { lo, hi },
+        );
+        assert_eq!(
+            scattered.try_answer(),
+            Ok(&serial.answer),
+            "box {lo:?}..{hi:?}"
+        );
     }
     dist.shutdown();
 
@@ -109,24 +139,178 @@ fn scattered_reports_match_serial_answers_on_consolidated_fabrics() {
         let serial = dist
             .query(&client, web.random_origin(2), prefix.to_string())
             .expect("runtime alive");
-        let scattered = dist
-            .query_scatter(&client, web.random_origin(2), prefix.to_string())
-            .expect("runtime alive");
-        assert_eq!(scattered.answer.matched_len, serial.answer.matched_len);
-        assert_eq!(
-            scattered.answer.matches, serial.answer.matches,
-            "{prefix:?}"
-        );
+        let scattered = gather(&dist, &client, web.random_origin(2), prefix.to_string())
+            .try_into_answer()
+            .expect("query answers");
+        assert_eq!(scattered.matched_len, serial.answer.matched_len);
+        assert_eq!(scattered.matches, serial.answer.matches, "{prefix:?}");
     }
     dist.shutdown();
+}
+
+#[test]
+fn mixed_kind_batch_matches_the_same_ops_one_at_a_time() {
+    // One quadtree, served twice: one fabric runs a single mixed batch, the
+    // other runs the same ops one at a time through the wrappers.
+    let points: Vec<PointKey<2>> = (0..120u32)
+        .map(|i| PointKey::new([i * 104_729 + 13, i * 49_979 + 7]))
+        .collect();
+    let web = QuadtreeSkipWeb::builder(points.clone()).seed(84).build();
+    let serial = DistributedSkipWeb::builder(web.inner())
+        .consolidated(8)
+        .spawn();
+    let batched = DistributedSkipWeb::builder(web.inner())
+        .consolidated(8)
+        .spawn();
+    let (cs, cb) = (serial.client(), batched.client());
+    let locates: Vec<(usize, PointKey<2>)> = (0..12u32)
+        .map(|s| {
+            let q = PointKey::new([s.wrapping_mul(0x9E37_79B9), s.wrapping_mul(0x85EB_CA6B)]);
+            (web.random_origin(u64::from(s)), q)
+        })
+        .collect();
+    let (lo, hi) = ([0u32, 0u32], [u32::MAX / 2, u32::MAX / 2]);
+    let box_origin = web.random_origin(99);
+    let inserts: Vec<(usize, PointKey<2>, u64)> = (0..6u32)
+        .map(|i| {
+            let p = PointKey::new([i * 7_919 + 5, i * 6_007 + 3]);
+            (
+                i as usize * 11,
+                p,
+                u64::from(i).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            )
+        })
+        .collect();
+    let removes: Vec<(usize, PointKey<2>)> =
+        (0..5).map(|i| (i * 13 + 2, points[i * 17 + 1])).collect();
+
+    // Serial: the queries first — a batch is admitted under one snapshot,
+    // so its queries see the web before any of its updates — then the
+    // updates, each through its wrapper.
+    let mut want_answers: Vec<_> = locates
+        .iter()
+        .map(|&(o, q)| {
+            serial
+                .query(&cs, o, QuadtreeRequest::Locate(q))
+                .expect("runtime alive")
+                .answer
+        })
+        .collect();
+    want_answers.push(
+        serial
+            .query(&cs, box_origin, QuadtreeRequest::InBox { lo, hi })
+            .expect("runtime alive")
+            .answer,
+    );
+    let mut want_flags: Vec<bool> = inserts
+        .iter()
+        .map(|&(o, p, bits)| {
+            serial
+                .insert_with(&cs, o, p, bits)
+                .expect("runtime alive")
+                .applied
+        })
+        .collect();
+    want_flags.extend(removes.iter().map(|&(o, p)| {
+        serial
+            .remove_with(&cs, o, p)
+            .expect("runtime alive")
+            .applied
+    }));
+
+    // Batched: every kind in one `run`, queries and updates interleaved.
+    let mut ops: Vec<Op<_>> = Vec::new();
+    for (i, &(origin, q)) in locates.iter().enumerate() {
+        ops.push(Op::Query {
+            origin,
+            req: QuadtreeRequest::Locate(q),
+            gather: false,
+        });
+        if let Some(&(origin, item, bits)) = inserts.get(i) {
+            ops.push(Op::Insert { origin, item, bits });
+        }
+        if let Some(&(origin, item)) = removes.get(i) {
+            ops.push(Op::Remove { origin, item });
+        }
+    }
+    ops.push(Op::Query {
+        origin: box_origin,
+        req: QuadtreeRequest::InBox { lo, hi },
+        gather: true,
+    });
+    let kinds: Vec<u8> = ops
+        .iter()
+        .map(|op| match op {
+            Op::Query { .. } => 0,
+            Op::Insert { .. } => 1,
+            Op::Remove { .. } => 2,
+        })
+        .collect();
+    let replies = batched.run(&cb, ops).expect("runtime alive");
+    let mut got_answers = Vec::new();
+    let mut got_inserts = Vec::new();
+    let mut got_removes = Vec::new();
+    for (reply, kind) in replies.into_iter().zip(kinds) {
+        match kind {
+            0 => got_answers.push(reply.try_into_answer().expect("query answers")),
+            1 => got_inserts.push(reply.try_applied().expect("update outcome")),
+            _ => got_removes.push(reply.try_applied().expect("update outcome")),
+        }
+    }
+    got_inserts.extend(got_removes);
+    assert_eq!(got_answers, want_answers, "answers");
+    assert_eq!(got_inserts, want_flags, "applied flags");
+    assert!(
+        want_flags.iter().all(|&a| a),
+        "every update changes the web"
+    );
+    assert_eq!(batched.ground_with_bits(), serial.ground_with_bits());
+
+    // A one-op `run` reports the same hops as the matching wrapper.
+    let (o, q) = locates[3];
+    let one = batched
+        .run(
+            &cb,
+            vec![Op::Query {
+                origin: o,
+                req: QuadtreeRequest::Locate(q),
+                gather: false,
+            }],
+        )
+        .expect("runtime alive")
+        .remove(0);
+    let wrapped = serial
+        .query(&cs, o, QuadtreeRequest::Locate(q))
+        .expect("runtime alive");
+    assert_eq!(one.try_answer(), Ok(&wrapped.answer));
+    assert_eq!(one.hops, wrapped.hops, "query hops");
+    let p = PointKey::new([4_242_424, 1_717_171]);
+    let one = batched
+        .run(
+            &cb,
+            vec![Op::Insert {
+                origin: 7,
+                item: p,
+                bits: 0xF00D,
+            }],
+        )
+        .expect("runtime alive")
+        .remove(0);
+    let wrapped = serial
+        .insert_with(&cs, 7, p, 0xF00D)
+        .expect("runtime alive");
+    assert_eq!(one.try_applied(), Ok(wrapped.applied));
+    assert_eq!(one.hops, wrapped.hops, "insert hops");
+    serial.shutdown();
+    batched.shutdown();
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
     /// The satellite gate: the same randomized mixed churn workload —
-    /// query rounds, insert rounds, remove rounds — through `query_batch` /
-    /// `insert_batch_with` / `remove_batch_with` versus the serial
+    /// query rounds, insert rounds, remove rounds — through `run` batches
+    /// of `Op::Query` / `Op::Insert` / `Op::Remove` versus the serial
     /// `query` / `insert_with` / `remove_with`, on {1, 4, 16} hosts:
     /// identical answers, identical applied flags, identical final ground
     /// sets, and never more metered crossings on the batch side.
@@ -153,10 +337,10 @@ proptest! {
                     .map(|&q| serial.query(&cs, origin, q).expect("runtime alive").answer)
                     .collect();
                 let got: Vec<Option<u64>> = batched
-                    .query_batch(&cb, origin, qs)
+                    .run(&cb, queries(origin, qs))
                     .expect("runtime alive")
                     .into_iter()
-                    .map(|r| r.answer)
+                    .map(|r| r.try_into_answer().expect("query answers"))
                     .collect();
                 prop_assert_eq!(got, want, "query round {}", round);
 
@@ -179,10 +363,15 @@ proptest! {
                     })
                     .collect();
                 let batch_flags: Vec<bool> = batched
-                    .insert_batch_with(&cb, ins)
+                    .run(
+                        &cb,
+                        ins.into_iter()
+                            .map(|(origin, item, bits)| Op::Insert { origin, item, bits })
+                            .collect(),
+                    )
                     .expect("runtime alive")
                     .into_iter()
-                    .map(|r| r.applied)
+                    .map(|r| r.try_applied().expect("update outcome"))
                     .collect();
                 prop_assert_eq!(batch_flags, serial_flags, "insert round {}", round);
                 prop_assert_eq!(batched.ground(), serial.ground(), "after inserts {}", round);
@@ -197,10 +386,15 @@ proptest! {
                     .map(|&(o, k)| serial.remove_with(&cs, o, k).expect("runtime alive").applied)
                     .collect();
                 let batch_flags: Vec<bool> = batched
-                    .remove_batch_with(&cb, rem)
+                    .run(
+                        &cb,
+                        rem.into_iter()
+                            .map(|(origin, item)| Op::Remove { origin, item })
+                            .collect(),
+                    )
                     .expect("runtime alive")
                     .into_iter()
-                    .map(|r| r.applied)
+                    .map(|r| r.try_applied().expect("update outcome"))
                     .collect();
                 prop_assert_eq!(batch_flags, serial_flags, "remove round {}", round);
                 prop_assert_eq!(batched.ground(), serial.ground(), "after removes {}", round);

@@ -5,6 +5,7 @@
 
 use std::time::Duration;
 
+use skipwebs::core::engine::Op;
 use skipwebs::core::multidim::{
     QuadtreeAnswer, QuadtreeRequest, QuadtreeSkipWeb, TrapezoidSkipWeb, TrieSkipWeb,
 };
@@ -139,9 +140,12 @@ fn trie_client_interleaves_in_flight_queries_by_correlation_id() {
     let submitted: Vec<(u64, String)> = (0..16usize)
         .map(|i| {
             let prefix = format!("w{:03}", (i * 5) % 64);
-            let corr = dist
-                .submit(&client, web.random_origin(i as u64), prefix.clone())
-                .expect("submit");
+            let op = Op::Query {
+                origin: web.random_origin(i as u64),
+                req: prefix.clone(),
+                gather: false,
+            };
+            let corr = dist.submit(&client, vec![op]).expect("submit")[0];
             (corr, prefix)
         })
         .collect();

@@ -12,13 +12,13 @@ fn runtime_agrees_with_simulator_owner_hosted() {
     let web = OneDimSkipWeb::builder((0..400u64).map(|i| i * 13 + 5).collect())
         .seed(31)
         .build();
-    let dist = DistributedOneDim::spawn(&web);
+    let dist: DistributedOneDim = web.serve();
     let client = dist.client();
     for s in 0..80u64 {
         let q = (s * 211) % 6000;
         let origin = web.random_origin(s);
         let sim = web.nearest(origin, q).answer.nearest;
-        let got = dist.nearest(&client, origin, q).unwrap().unwrap();
+        let got = dist.query(&client, origin, q).unwrap().answer.unwrap();
         assert_eq!(got, sim, "q={q}");
     }
     dist.shutdown();
@@ -30,13 +30,13 @@ fn runtime_agrees_with_simulator_bucketed() {
         .seed(32)
         .bucketed(40)
         .build();
-    let dist = DistributedOneDim::spawn(&web);
+    let dist: DistributedOneDim = web.serve();
     let client = dist.client();
     for s in 0..60u64 {
         let q = (s * 389) % 5000;
         let origin = web.random_origin(s);
         let sim = web.nearest(origin, q).answer.nearest;
-        let got = dist.nearest(&client, origin, q).unwrap().unwrap();
+        let got = dist.query(&client, origin, q).unwrap().answer.unwrap();
         assert_eq!(got, sim, "bucketed q={q}");
     }
     dist.shutdown();
@@ -53,13 +53,13 @@ fn runtime_serves_post_churn_structures() {
     for i in 0..20u64 {
         web.remove(i * 10);
     }
-    let dist = DistributedOneDim::spawn(&web);
+    let dist: DistributedOneDim = web.serve();
     let client = dist.client();
     for s in 0..50u64 {
         let q = (s * 167) % 3000;
         let origin = web.random_origin(s);
         let sim = web.nearest(origin, q).answer.nearest;
-        let got = dist.nearest(&client, origin, q).unwrap().unwrap();
+        let got = dist.query(&client, origin, q).unwrap().answer.unwrap();
         assert_eq!(got, sim, "post-churn q={q}");
     }
     dist.shutdown();
@@ -70,7 +70,7 @@ fn many_concurrent_clients_fan_out() {
     let web = OneDimSkipWeb::builder((0..300u64).map(|i| i * 8 + 1).collect())
         .seed(34)
         .build();
-    let dist = DistributedOneDim::spawn(&web);
+    let dist: DistributedOneDim = web.serve();
     let clients: Vec<_> = (0..8).map(|_| dist.client()).collect();
     // All clients query concurrently from scoped threads.
     std::thread::scope(|scope| {
@@ -83,8 +83,9 @@ fn many_concurrent_clients_fan_out() {
                     let origin = web.random_origin(i as u64 + round);
                     let want = web.nearest(origin, q).answer.nearest;
                     let got = dist
-                        .nearest(client, origin, q)
+                        .query(client, origin, q)
                         .expect("runtime alive")
+                        .answer
                         .expect("nonempty");
                     assert_eq!(got, want, "client {i} round {round}");
                 }
@@ -101,11 +102,11 @@ fn runtime_message_counts_stay_logarithmic() {
     let web = OneDimSkipWeb::builder((0..n).map(|i| i * 3).collect())
         .seed(35)
         .build();
-    let dist = DistributedOneDim::spawn(&web);
+    let dist: DistributedOneDim = web.serve();
     let client = dist.client();
     let trials = 50u64;
     for s in 0..trials {
-        dist.nearest(&client, web.random_origin(s), (s * 797) % 3200)
+        dist.query(&client, web.random_origin(s), (s * 797) % 3200)
             .unwrap();
     }
     let per_query = dist.message_count() as f64 / trials as f64;
@@ -116,10 +117,10 @@ fn runtime_message_counts_stay_logarithmic() {
 #[test]
 fn client_timeout_surfaces_cleanly() {
     let web = OneDimSkipWeb::builder(vec![1, 2, 3]).seed(36).build();
-    let dist = DistributedOneDim::spawn(&web);
+    let dist: DistributedOneDim = web.serve();
     let client = dist.client();
     // No query sent: the receive must time out, not hang.
-    let err = client.recv_timeout(Duration::from_millis(20)).unwrap_err();
+    let err = client.recv_any(Duration::from_millis(20)).unwrap_err();
     assert_eq!(err, skipwebs::net::runtime::RuntimeError::Timeout);
     dist.shutdown();
 }
