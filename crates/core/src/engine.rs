@@ -134,9 +134,9 @@
 //!   re-tagged with the *original* op id, and the apply path keeps an
 //!   idempotence ledger keyed on `(client, op id)` — a resubmit whose first
 //!   attempt actually landed is echoed its recorded outcome, never applied
-//!   twice. Late replies of abandoned attempts, and replies whose kind does
-//!   not match their op, are dropped on arrival and counted in
-//!   [`HostTraffic::stale_replies`].
+//!   twice. Late replies of abandoned attempts, replies whose kind does
+//!   not match their op, and partials of a structure that never scatters
+//!   are dropped on arrival and counted in [`HostTraffic::stale_replies`].
 //!
 //! # Example
 //!
@@ -261,11 +261,13 @@ pub trait Routable: RangeDetermined<Item: Send + Sync + 'static> {
     /// Merges the streamed partial answers of a scatter-gather report into
     /// the final answer. Must be insensitive to arrival order (partials
     /// stream back in parallel) and, over any partition of the report
-    /// ranges, equal the serial [`answer`](Self::answer). Only called when
-    /// `report_ranges` is overridden to return `Some`.
-    fn merge_answers(parts: Vec<Self::Answer>) -> Self::Answer {
+    /// ranges, equal the serial [`answer`](Self::answer). Structures that
+    /// override `report_ranges` return `Some`; the default `None` means
+    /// the structure never scatters, so partials reaching it are forged
+    /// and the client drops them.
+    fn merge_answers(parts: Vec<Self::Answer>) -> Option<Self::Answer> {
         let _ = parts;
-        unreachable!("merge_answers must be overridden alongside report_ranges")
+        None
     }
 }
 
@@ -596,6 +598,15 @@ impl<D: RangeDetermined> Snapshot<D> {
         &self.web.level_structs()[at.level as usize].sets[at.set as usize]
     }
 
+    /// The set `at` names, or `None` unless `at` resolves to a range of
+    /// this snapshot's web — the check wire input must pass before an actor
+    /// indexes with it.
+    pub(crate) fn resolve(&self, at: GlobalRef) -> Option<&LevelSet<D>> {
+        let level = self.web.level_structs().get(at.level as usize)?;
+        let set = level.sets.get(at.set as usize)?;
+        ((at.range as usize) < set.structure.num_ranges()).then_some(set)
+    }
+
     /// A range's copies (`LevelSet::range_host`) folded onto physical
     /// hosts, primary first. Folding can alias distinct logical hosts, so a
     /// host may repeat; every caller only tests membership or takes the
@@ -608,15 +619,9 @@ impl<D: RangeDetermined> Snapshot<D> {
     /// range and that range's primary host (the "root node for that host"
     /// of §1.1).
     fn origin(&self, g: usize) -> (HostId, GlobalRef) {
-        let levels = self.web.level_structs();
-        let top = levels.len() - 1;
-        let level = &levels[top];
-        let set = level.set_of_item[g];
-        let entry = level.sets[set as usize]
-            .structure
-            .entry_of_item(level.local_of_item[g] as usize);
+        let (set, entry) = self.web.origin(g);
         let at = GlobalRef {
-            level: top as u16,
+            level: self.web.top_level() as u16,
             set,
             range: entry.0,
         };
@@ -774,7 +779,7 @@ fn repair_trail<D: Routable + Send + Sync + 'static>(
         bits,
         snap.web.blocking(),
         levels.len(),
-        |level, key| levels[level as usize].set_by_key.get(&key).copied(),
+        |level, key| levels[level as usize].find(key),
         |level, set_idx| {
             let set = &levels[level as usize].sets[set_idx as usize];
             set.structure
@@ -2314,13 +2319,19 @@ impl<D: Routable + Send + Sync + 'static> DistributedSkipWeb<D> {
                         hops_max = hops_max.max(reply.hops);
                         parts.push(answer);
                         if parts.len() as u32 >= of {
-                            return Ok(EngineReply {
-                                corr,
-                                hops: hops_max,
-                                body: ReplyBody::Answer(D::merge_answers(std::mem::take(
-                                    &mut parts,
-                                ))),
-                            });
+                            // A structure that never scatters merges
+                            // nothing: its partials are forged, dropped
+                            // like a reply of the wrong kind.
+                            match D::merge_answers(std::mem::take(&mut parts)) {
+                                Some(answer) => {
+                                    return Ok(EngineReply {
+                                        corr,
+                                        hops: hops_max,
+                                        body: ReplyBody::Answer(answer),
+                                    })
+                                }
+                                None => client.inner.note_stale_reply(),
+                            }
                         }
                     }
                     ReplyBody::Unavailable => {
@@ -3681,11 +3692,13 @@ mod tests {
     }
 
     /// Delivers everything in-process, but rewrites the first query answer
-    /// it carries into an update outcome — a confused peer's reply — and
+    /// it carries — into an update outcome, or with `partial` into a lone
+    /// scatter partial (`of: 1`) — a confused or forging peer's reply. It
     /// reports itself lossy, so an op that times out resubmits even with
     /// every host alive.
     struct ConfusedReplies {
         rewritten: std::sync::atomic::AtomicBool,
+        partial: bool,
     }
 
     impl Transport<FabricMsg<SortedLinkedList>, EngineReply<SortedLinkedList>> for ConfusedReplies {
@@ -3702,10 +3715,17 @@ mod tests {
             mut reply: EngineReply<SortedLinkedList>,
             delivery: ReplyDelivery<FabricMsg<SortedLinkedList>, EngineReply<SortedLinkedList>>,
         ) {
-            if matches!(reply.body, ReplyBody::Answer(_))
-                && !self.rewritten.swap(true, Ordering::SeqCst)
-            {
-                reply.body = ReplyBody::Updated { applied: true };
+            if let ReplyBody::Answer(answer) = &reply.body {
+                if !self.rewritten.swap(true, Ordering::SeqCst) {
+                    reply.body = if self.partial {
+                        ReplyBody::Partial {
+                            answer: *answer,
+                            of: 1,
+                        }
+                    } else {
+                        ReplyBody::Updated { applied: true }
+                    };
+                }
             }
             delivery.deliver(reply);
         }
@@ -3719,20 +3739,33 @@ mod tests {
     fn a_reply_of_the_wrong_kind_is_dropped_not_fatal() {
         let keys: Vec<u64> = (0..64).map(|i| i * 10).collect();
         let web = crate::onedim::OneDimSkipWeb::builder(keys).seed(49).build();
-        let dist = DistributedSkipWeb::builder(web.inner())
-            .consolidated(4)
-            .transport(Arc::new(ConfusedReplies {
-                rewritten: std::sync::atomic::AtomicBool::new(false),
-            }))
-            .timeouts(Timeouts::uniform(Duration::from_millis(200)))
-            .spawn();
-        let client = dist.client();
-        // The first answer arrives as an update outcome: the client drops
-        // it, times out, and resubmits instead of panicking.
-        let reply = dist.query(&client, 0, 137).unwrap();
-        assert_eq!(reply.answer, Some(140));
-        assert!(dist.traffic().stale_replies >= 1, "the drop is counted");
-        dist.shutdown();
+        // The first answer arrives as an update outcome, or — to a gather
+        // query on the 1-D list, which never scatters — as a partial that
+        // `merge_answers` refuses: either way the client drops it, times
+        // out, and resubmits instead of panicking.
+        for partial in [false, true] {
+            let dist = DistributedSkipWeb::builder(web.inner())
+                .consolidated(4)
+                .transport(Arc::new(ConfusedReplies {
+                    rewritten: std::sync::atomic::AtomicBool::new(false),
+                    partial,
+                }))
+                .timeouts(Timeouts::uniform(Duration::from_millis(200)))
+                .spawn();
+            let client = dist.client();
+            let op = Op::Query {
+                origin: 0,
+                req: 137,
+                gather: partial,
+            };
+            let reply = dist.run(&client, vec![op]).unwrap().remove(0);
+            assert!(
+                matches!(reply.body, ReplyBody::Answer(Some(140))),
+                "partial={partial}: {reply:?}"
+            );
+            assert!(dist.traffic().stale_replies >= 1, "the drop is counted");
+            dist.shutdown();
+        }
     }
 
     #[test]

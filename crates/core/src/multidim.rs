@@ -97,6 +97,9 @@ impl<const D: usize> Routable for CompressedQuadtree<D> {
     fn report_ranges(&self, locus: RangeId, req: &QuadtreeRequest<D>) -> Option<Vec<RangeId>> {
         match req {
             QuadtreeRequest::Locate(_) => None,
+            // Descents end on nodes; a link locus only arrives in a forged
+            // scatter, which must not reach the node walk below.
+            QuadtreeRequest::InBox { .. } if locus.index() >= self.num_nodes() => None,
             QuadtreeRequest::InBox { lo, hi } => {
                 let (lo, hi) = normalized_box(lo, hi);
                 Some(box_report_nodes(self, locus, &lo, &hi, |_| {}))
@@ -117,7 +120,7 @@ impl<const D: usize> Routable for CompressedQuadtree<D> {
         }
     }
 
-    fn merge_answers(parts: Vec<QuadtreeAnswer<D>>) -> QuadtreeAnswer<D> {
+    fn merge_answers(parts: Vec<QuadtreeAnswer<D>>) -> Option<QuadtreeAnswer<D>> {
         // Partials cover disjoint node sets, so a merge is concatenation
         // back into Morton order — byte-identical to the serial scan.
         let mut points: Vec<PointKey<D>> = parts
@@ -128,7 +131,7 @@ impl<const D: usize> Routable for CompressedQuadtree<D> {
             })
             .collect();
         points.sort_by_key(PointKey::morton);
-        QuadtreeAnswer::Points(points)
+        Some(QuadtreeAnswer::Points(points))
     }
 }
 
@@ -199,17 +202,17 @@ impl Routable for CompressedTrie {
         }
     }
 
-    fn merge_answers(parts: Vec<PrefixAnswer>) -> PrefixAnswer {
+    fn merge_answers(parts: Vec<PrefixAnswer>) -> Option<PrefixAnswer> {
         // Every partial computes matched_len from the shared structure
         // description, so any of them carries the right value.
         let matched_len = parts.iter().map(|p| p.matched_len).max().unwrap_or(0);
         let mut matches: Vec<String> = parts.into_iter().flat_map(|p| p.matches).collect();
         matches.sort();
         matches.dedup();
-        PrefixAnswer {
+        Some(PrefixAnswer {
             matched_len,
             matches,
-        }
+        })
     }
 }
 

@@ -1,7 +1,8 @@
 //! The skip-web structure: levels, hyperlinks, placement, queries (§2.3–2.5)
 //! and updates (§4), generic over any range-determined link structure.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
+use std::iter::Peekable;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -37,16 +38,22 @@ pub(crate) struct LevelSet<D: RangeDetermined> {
     pub parent: u32,
 }
 
-/// All sets of one level.
+/// All sets of one level, ascending by key. The key names the set (`S_b`,
+/// §2.3), so a binary search over `sets` is the level's only index.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Level<D: RangeDetermined> {
     pub sets: Vec<LevelSet<D>>,
-    /// Ground item index → set index within this level.
-    pub set_of_item: Vec<u32>,
-    /// Ground item index → item index inside its set's structure.
-    pub local_of_item: Vec<u32>,
-    /// Set key → set index.
-    pub set_by_key: HashMap<u64, u32>,
+}
+
+impl<D: RangeDetermined> Level<D> {
+    /// Index of the set keyed `key`, or `None` when no item of this level
+    /// carries that key.
+    pub(crate) fn find(&self, key: u64) -> Option<u32> {
+        self.sets
+            .binary_search_by_key(&key, |s| s.key)
+            .ok()
+            .map(|i| i as u32)
+    }
 }
 
 /// Below this many stored items a full rebuild is cheaper than planning an
@@ -70,8 +77,7 @@ struct RepairPlan {
     remap: Vec<u32>,
 }
 
-/// One dirty set to rebuild — the items are disjoint across jobs, which is
-/// what lets the rebuild stage fan out across threads.
+/// One dirty set to rebuild from its surviving members.
 #[derive(Debug)]
 struct BuildJob {
     level: u32,
@@ -79,43 +85,6 @@ struct BuildJob {
     /// New ground indices of the members, ascending — which is canonical
     /// order, since the spliced ground set is canonically sorted.
     members: Vec<u32>,
-}
-
-/// Runs `f` over `jobs` on up to `threads` scoped workers, preserving
-/// result order. Jobs are dealt round-robin: rebuild jobs arrive sorted
-/// bottom-up (level 0 — the whole ground set — first), so the few big
-/// low-level jobs land on distinct workers.
-fn par_map<J: Sync, T: Send>(jobs: &[J], threads: usize, f: impl Fn(&J) -> T + Sync) -> Vec<T> {
-    if threads <= 1 || jobs.len() <= 1 {
-        return jobs.iter().map(f).collect();
-    }
-    let workers = threads.min(jobs.len());
-    let mut out: Vec<Option<T>> = Vec::with_capacity(jobs.len());
-    out.resize_with(jobs.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let f = &f;
-                scope.spawn(move || {
-                    let mut part = Vec::new();
-                    let mut i = w;
-                    while i < jobs.len() {
-                        part.push((i, f(&jobs[i])));
-                        i += workers;
-                    }
-                    part
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (i, v) in handle.join().expect("apply worker panicked") {
-                out[i] = Some(v);
-            }
-        }
-    });
-    out.into_iter()
-        .map(|v| v.expect("round-robin covers every job"))
-        .collect()
 }
 
 /// Points every range's copy list at its owning item's host — the
@@ -137,163 +106,53 @@ fn owner_host_sweep<D: RangeDetermined>(levels: &mut [Level<D>]) {
     }
 }
 
-/// Moves `adjust(arr[g])` to `arr[remap[g]]` in place for an
-/// order-preserving splice remap, then sizes `arr` to `n_new`. Growing
-/// remaps copy back-to-front (every target sits at or beyond its source,
-/// and strictly beyond any smaller source's target), shrinking ones
-/// front-to-back (targets trail their sources), skipping the `u32::MAX`
-/// holes of removed entries — so every read still sees the original value.
-fn permute_by_remap(arr: &mut Vec<u32>, remap: &[u32], n_new: usize, adjust: impl Fn(u32) -> u32) {
-    let n_old = remap.len();
-    debug_assert_eq!(arr.len(), n_old);
-    if n_new >= n_old {
-        arr.resize(n_new, 0);
-        for g in (0..n_old).rev() {
-            arr[remap[g] as usize] = adjust(arr[g]);
-        }
-    } else {
-        for g in 0..n_old {
-            let target = remap[g];
-            if target != u32::MAX {
-                arr[target as usize] = adjust(arr[g]);
-            }
-        }
-        arr.truncate(n_new);
-    }
-}
-
-/// Merges one level's rebuilt sets into its tables: old sets keep their
-/// structures and hyperlinks verbatim (ground indices remapped through the
-/// splice), emptied sets are dropped, new sets land at their key-sorted
-/// position, and the level's item maps are brought back in sync. `jobs` /
-/// `built` are this level's slice of the repair plan (see
-/// `SkipWeb::split_installs`); each level's merge touches only its own
-/// tables, so the threaded apply path runs this over levels in parallel.
-fn install_level<D: RangeDetermined>(
+/// Merges one level's rebuilt sets into its key-sorted set list: clean
+/// sets keep their structures and hyperlinks verbatim (ground indices and
+/// owner primaries remapped through the splice), dirty sets give way to
+/// their rebuilt versions or — emptied — are dropped, and new sets land at
+/// their key-sorted position. `incoming` yields the plan's rebuilt sets in
+/// `(level, key)` order; this call consumes the ones of level `li`.
+fn install_level<'a, D: RangeDetermined>(
     level: &mut Level<D>,
     li: u32,
-    jobs: &[BuildJob],
-    built: Vec<LevelSet<D>>,
+    incoming: &mut Peekable<impl Iterator<Item = (&'a BuildJob, LevelSet<D>)>>,
     plan: &RepairPlan,
-    n: usize,
     owner_hosted: bool,
 ) {
-    let (dirty, remap) = (&plan.dirty, &plan.remap[..]);
-    debug_assert!(jobs.iter().all(|j| j.level == li));
-    let mut incoming = jobs.iter().zip(built).peekable();
-    // A freshly grown top level has no maps to update in place.
-    let fresh_level = level.set_of_item.len() != remap.len();
     let old_sets = std::mem::take(&mut level.sets);
     let mut sets: Vec<LevelSet<D>> = Vec::with_capacity(old_sets.len() + 1);
-    // A set added or dropped mid-level shifts every later set's index by
-    // one. `breaks` records, per add/drop, the old index it happened
-    // before — turning the old→new index fix-up into a prefix count
-    // instead of a wholesale map rebuild.
-    let mut breaks: Vec<u32> = Vec::new();
-    let mut added: Vec<(u64, u32)> = Vec::new();
-    let mut dropped_keys: Vec<u64> = Vec::new();
-    let mut old_idx: u32 = 0;
     for mut set in old_sets {
-        while incoming.peek().is_some_and(|(j, _)| j.key < set.key) {
-            let (job, built_set) = incoming.next().expect("peeked");
-            added.push((job.key, sets.len() as u32));
-            breaks.push(old_idx);
-            sets.push(built_set);
+        while let Some((_, built)) = incoming.next_if(|(j, _)| j.level == li && j.key <= set.key) {
+            sets.push(built);
         }
-        if dirty.contains(&(li, set.key)) {
-            // Replaced by its rebuilt version — or emptied: drop.
-            if incoming.peek().is_some_and(|(j, _)| j.key == set.key) {
-                sets.push(incoming.next().expect("peeked").1);
-            } else {
-                dropped_keys.push(set.key);
-                breaks.push(old_idx);
-            }
-        } else {
-            // Untouched sets never contain removed items (a removed item
-            // dirties its set at every level), so every entry remaps
-            // cleanly.
-            for g in &mut set.ground {
-                *g = remap[*g as usize];
-                debug_assert!(*g != u32::MAX);
-            }
-            if owner_hosted {
-                // Each range's primary copy is its owning item — a member
-                // of this clean set — so the owner-hosted placement remaps
-                // right along with the ground entries; replicas beyond the
-                // primary are ring successors of stale host ids, dropped
-                // here and regrown by `extend_replicas`.
-                for copies in &mut set.range_host {
-                    copies.truncate(1);
-                    if let Some(primary) = copies.first_mut() {
-                        primary.0 = remap[primary.0 as usize];
-                        debug_assert!(primary.0 != u32::MAX);
-                    }
+        if plan.dirty.contains(&(li, set.key)) {
+            // Replaced by its rebuilt version, just pushed — or emptied.
+            continue;
+        }
+        // Untouched sets never contain removed items (a removed item
+        // dirties its set at every level), so every entry remaps cleanly.
+        for g in &mut set.ground {
+            *g = plan.remap[*g as usize];
+            debug_assert!(*g != u32::MAX);
+        }
+        if owner_hosted {
+            // Each range's primary copy is its owning item — a member of
+            // this clean set — so the owner-hosted placement remaps right
+            // along with the ground entries; replicas beyond the primary
+            // are ring successors of stale host ids, dropped here and
+            // regrown by `extend_replicas`.
+            for copies in &mut set.range_host {
+                copies.truncate(1);
+                if let Some(primary) = copies.first_mut() {
+                    primary.0 = plan.remap[primary.0 as usize];
+                    debug_assert!(primary.0 != u32::MAX);
                 }
             }
-            sets.push(set);
         }
-        old_idx += 1;
+        sets.push(set);
     }
-    for (job, built_set) in incoming {
-        added.push((job.key, sets.len() as u32));
-        breaks.push(old_idx);
-        sets.push(built_set);
-    }
-    if fresh_level {
-        // Build the maps wholesale; every slot is covered because the sets
-        // partition the ground set.
-        let mut set_of_item = vec![0u32; n];
-        let mut local_of_item = vec![0u32; n];
-        level.set_by_key = sets
-            .iter()
-            .enumerate()
-            .map(|(si, s)| (s.key, si as u32))
-            .collect();
-        for (si, set) in sets.iter().enumerate() {
-            for (local, &g) in set.ground.iter().enumerate() {
-                set_of_item[g as usize] = si as u32;
-                local_of_item[g as usize] = local as u32;
-            }
-        }
-        level.set_of_item = set_of_item;
-        level.local_of_item = local_of_item;
-    } else {
-        // Untouched items keep their map entries verbatim modulo the index
-        // shifts: permute them to the spliced ground positions in place
-        // (folding the shift fix-up into the copy), then patch only the
-        // rebuilt sets' members — which include every item the batch
-        // touched. A single plan only ever adds sets (inserts never empty
-        // one) or only drops them (removes never create one), so the shift
-        // direction is uniform.
-        debug_assert!(added.is_empty() || dropped_keys.is_empty());
-        let delta: i64 = if dropped_keys.is_empty() { 1 } else { -1 };
-        let adjust = |si: u32| -> u32 {
-            if breaks.is_empty() {
-                return si;
-            }
-            let crossed = breaks.partition_point(|&b| b <= si) as i64;
-            (i64::from(si) + delta * crossed) as u32
-        };
-        for key in &dropped_keys {
-            level.set_by_key.remove(key);
-        }
-        if !breaks.is_empty() {
-            for v in level.set_by_key.values_mut() {
-                *v = adjust(*v);
-            }
-        }
-        for &(key, idx) in &added {
-            level.set_by_key.insert(key, idx);
-        }
-        permute_by_remap(&mut level.set_of_item, remap, n, adjust);
-        permute_by_remap(&mut level.local_of_item, remap, n, |local| local);
-        for job in jobs {
-            let si = level.set_by_key[&job.key];
-            for (local, &g) in job.members.iter().enumerate() {
-                level.set_of_item[g as usize] = si;
-                level.local_of_item[g as usize] = local as u32;
-            }
-        }
+    while let Some((_, built)) = incoming.next_if(|(j, _)| j.level == li) {
+        sets.push(built);
     }
     level.sets = sets;
 }
@@ -547,6 +406,24 @@ impl<D: RangeDetermined> SkipWeb<D> {
         rng.gen_range(0..self.len())
     }
 
+    /// Where a descent from ground item `g` starts: the index of `g`'s set
+    /// at the top level and `g`'s entry range there. The set is found by
+    /// `g`'s top-level key, then `g` by its position in the set's ascending
+    /// `ground`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g >= self.len()`.
+    pub(crate) fn origin(&self, g: usize) -> (u32, RangeId) {
+        let top = self.levels.len() - 1;
+        let key = set_key(self.item_bits[g], top as u32);
+        let level = &self.levels[top];
+        let set_idx = level.sets.partition_point(|s| s.key < key);
+        let set = &level.sets[set_idx];
+        let local = set.ground.partition_point(|&m| (m as usize) < g);
+        (set_idx as u32, set.structure.entry_of_item(local))
+    }
+
     /// Routes a query from the root of `origin_item`'s host down to the
     /// maximal level-0 range containing `q` (§2.5), charging every touched
     /// range's host to `meter`.
@@ -565,10 +442,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
         let start_messages = meter.messages();
         let top = self.top_level() as usize;
         let mut level = top;
-        let mut set_idx = self.levels[top].set_of_item[origin_item] as usize;
-        let mut entry = self.levels[top].sets[set_idx]
-            .structure
-            .entry_of_item(self.levels[top].local_of_item[origin_item] as usize);
+        let (set_idx, mut entry) = self.origin(origin_item);
+        let mut set_idx = set_idx as usize;
         let mut per_level_touches = Vec::with_capacity(top + 1);
         // Non-basic ranges are replicated across block hosts; which copy the
         // walk reads is only determined once the descent reaches the basic
@@ -745,7 +620,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     pub fn apply_insert_batch(&mut self, items: Vec<(D::Item, u64)>) -> Vec<bool> {
         let (applied, plan) = self.stage_inserts(items, false);
         if let Some(plan) = plan {
-            self.repair_serial(plan);
+            self.repair(plan);
         }
         applied
     }
@@ -767,7 +642,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
     pub fn apply_remove_batch(&mut self, items: &[D::Item]) -> Vec<bool> {
         let (applied, plan) = self.stage_removes(items, false);
         if let Some(plan) = plan {
-            self.repair_serial(plan);
+            self.repair(plan);
         }
         applied
     }
@@ -807,12 +682,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
         match want.cmp(&self.levels.len()) {
             std::cmp::Ordering::Greater => {
                 debug_assert_eq!(want, self.levels.len() + 1);
-                self.levels.push(Level {
-                    sets: Vec::new(),
-                    set_of_item: Vec::new(),
-                    local_of_item: Vec::new(),
-                    set_by_key: HashMap::new(),
-                });
+                self.levels.push(Level { sets: Vec::new() });
                 true
             }
             std::cmp::Ordering::Less => {
@@ -1044,15 +914,23 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
     }
 
-    /// Runs a repair plan on the calling thread. The threaded variant is
-    /// [`apply_insert_batch_threads`](Self::apply_insert_batch_threads) /
-    /// [`apply_remove_batch_threads`](Self::apply_remove_batch_threads).
-    fn repair_serial(&mut self, plan: RepairPlan) {
-        let built = plan.builds.iter().map(|j| self.exec_build(j)).collect();
-        let links = self.install_sets(&plan, built);
-        let downs = links.iter().map(|&j| self.exec_link(j)).collect();
-        self.install_links(&links, downs);
+    /// Runs a repair plan: rebuilds the dirty sets, merges them into the
+    /// levels, re-links parents, recomputes the hyperlinks the repair
+    /// invalidated, and finishes the host tables.
+    fn repair(&mut self, plan: RepairPlan) {
+        let built: Vec<LevelSet<D>> = plan.builds.iter().map(|j| self.exec_build(j)).collect();
+        let owner_hosted = matches!(self.blocking, Blocking::OwnerHosted);
+        let mut incoming = plan.builds.iter().zip(built).peekable();
+        for (li, level) in (0u32..).zip(&mut self.levels) {
+            install_level(level, li, &mut incoming, &plan, owner_hosted);
+        }
+        debug_assert!(
+            incoming.next().is_none(),
+            "every rebuilt set lands on a level"
+        );
         self.link_parents();
+        let links = self.link_jobs(&plan);
+        self.relink(links);
         self.finish_hosts();
         self.debug_check_invariants();
     }
@@ -1063,9 +941,10 @@ impl<D: RangeDetermined> SkipWeb<D> {
     fn link_parents(&mut self) {
         for level in 1..self.levels.len() {
             let (lower, upper) = self.levels.split_at_mut(level);
-            let below = &lower[level - 1];
+            let below = &lower[level - 1].sets;
             for set in &mut upper[0].sets {
-                set.parent = below.set_by_key[&parent_key(set.key, level as u32)];
+                let pkey = parent_key(set.key, level as u32);
+                set.parent = below.partition_point(|s| s.key < pkey) as u32;
             }
         }
     }
@@ -1089,9 +968,10 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// * **Membership** — at every level, each item sits in exactly the set
     ///   keyed by its bit prefix (`set_key(bits, ℓ)`), which makes level
     ///   membership monotone in level (a level-`ℓ` set key extends the
-    ///   level-`ℓ-1` key); `set_of_item` / `local_of_item` form a
-    ///   permutation consistent with each set's `ground`, and `set_by_key`
-    ///   indexes the sets bijectively.
+    ///   level-`ℓ-1` key).
+    /// * **Order** — every level's set keys are strictly ascending and every
+    ///   set's `ground` is strictly ascending, which is what lets a key or
+    ///   item lookup binary-search them.
     /// * **Hyperlinks** — at level 0 all `down` lists are empty; above it,
     ///   each set's `parent` indexes its parent set one level down, and
     ///   each range's `down` list equals its conflict list there (§2.3).
@@ -1139,23 +1019,17 @@ impl<D: RangeDetermined> SkipWeb<D> {
 
         for (li, level) in self.levels.iter().enumerate() {
             let li = li as u32;
-            if level.set_of_item.len() != n || level.local_of_item.len() != n {
-                return Err(format!("level {li}: item maps not sized to the ground set"));
-            }
-            if level.set_by_key.len() != level.sets.len() {
+            if let Some(si) = level.sets.windows(2).position(|w| w[0].key >= w[1].key) {
                 return Err(format!(
-                    "level {li}: {} keys index {} sets",
-                    level.set_by_key.len(),
-                    level.sets.len()
+                    "level {li}: set keys not strictly ascending at sets {si}, {}",
+                    si + 1
                 ));
             }
             let mut claimed = vec![false; n];
             for (si, set) in level.sets.iter().enumerate() {
-                let si = si as u32;
-                if level.set_by_key.get(&set.key) != Some(&si) {
+                if let Some(local) = set.ground.windows(2).position(|w| w[0] >= w[1]) {
                     return Err(format!(
-                        "level {li}: set {si} (key {:#x}) not indexed by its key",
-                        set.key
+                        "level {li} set {si}: ground not strictly ascending at entry {local}"
                     ));
                 }
                 if set.structure.len() != set.ground.len() {
@@ -1199,16 +1073,10 @@ impl<D: RangeDetermined> SkipWeb<D> {
                             "level {li} set {si}: structure item {local} diverges from ground item {g}"
                         ));
                     }
-                    if level.set_of_item[g] != si || level.local_of_item[g] as usize != local {
-                        return Err(format!(
-                            "level {li}: item map points item {g} at ({}, {}), set says ({si}, {local})",
-                            level.set_of_item[g], level.local_of_item[g]
-                        ));
-                    }
                 }
             }
-            // With per-item claims unique and the maps agreeing, any
-            // unclaimed item means some level fails to cover the ground set.
+            // With per-item claims unique, any unclaimed item means some
+            // level fails to cover the ground set.
             if let Some(g) = claimed.iter().position(|&c| !c) {
                 return Err(format!("level {li}: item {g} belongs to no set"));
             }
@@ -1218,9 +1086,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     .then(|| {
                         let below = &self.levels[li as usize - 1];
                         let pkey = parent_key(set.key, li);
-                        match below.set_by_key.get(&pkey) {
-                            Some(&pi) if pi == set.parent => Ok(&below.sets[pi as usize]),
-                            Some(&pi) => Err(format!(
+                        match below.find(pkey) {
+                            Some(pi) if pi == set.parent => Ok(&below.sets[pi as usize]),
+                            Some(pi) => Err(format!(
                                 "level {li} set {si}: parent index {} but set {pi} is keyed {pkey:#x}",
                                 set.parent
                             )),
@@ -1274,10 +1142,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
         Ok(())
     }
 
-    /// Rebuilds one dirty set from its (already-spliced) members — the
-    /// parallelizable unit of the repair: reads the ground set immutably
-    /// and returns an owned set, with hyperlinks and placement filled in by
-    /// the later stages.
+    /// Rebuilds one dirty set from its (already-spliced) members: reads the
+    /// ground set immutably and returns an owned set, with hyperlinks and
+    /// placement filled in by the later stages.
     fn exec_build(&self, job: &BuildJob) -> LevelSet<D> {
         let items: Vec<D::Item> = job
             .members
@@ -1295,7 +1162,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
             "splice must preserve the canonical order (canonical_cmp contract)"
         );
         let num_ranges = structure.num_ranges();
-        // Owner-hosted primaries are fused into the (parallelizable) build:
+        // Owner-hosted primaries are fused into the build:
         // each range's copy list starts at its owning item's host, so the
         // repair path never needs the full placement sweep. Bucketed webs
         // get their placement wholesale from `assign_bucketed` instead.
@@ -1319,52 +1186,6 @@ impl<D: RangeDetermined> SkipWeb<D> {
             range_host,
             parent: 0,
         }
-    }
-
-    /// Splits the `(level, key)`-sorted build jobs and their rebuilt sets
-    /// into per-level chunks aligned with `self.levels`, so each level's
-    /// merge becomes self-contained — which is what lets the threaded
-    /// apply path fan [`install_level`] out.
-    fn split_installs(
-        plan: &RepairPlan,
-        built: Vec<LevelSet<D>>,
-        levels: usize,
-    ) -> Vec<(&[BuildJob], Vec<LevelSet<D>>)> {
-        let mut built_iter = built.into_iter();
-        let mut cursor = 0usize;
-        let parts: Vec<(&[BuildJob], Vec<LevelSet<D>>)> = (0..levels as u32)
-            .map(|li| {
-                let s = cursor;
-                while cursor < plan.builds.len() && plan.builds[cursor].level == li {
-                    cursor += 1;
-                }
-                let jobs = &plan.builds[s..cursor];
-                let sets: Vec<LevelSet<D>> = built_iter.by_ref().take(jobs.len()).collect();
-                (jobs, sets)
-            })
-            .collect();
-        debug_assert!(
-            cursor == plan.builds.len() && built_iter.next().is_none(),
-            "every rebuilt set must land on a level"
-        );
-        parts
-    }
-
-    /// Merges the rebuilt sets into the level tables — old sets keep their
-    /// structures and hyperlinks verbatim (ground indices remapped through
-    /// the splice), emptied sets are dropped, new sets land at their
-    /// key-sorted position — and recomputes the per-level item maps.
-    /// Returns the sets whose hyperlinks must be recomputed: every rebuilt
-    /// set plus the children of rebuilt parents (their `down` arrays index
-    /// into the parent's new structure).
-    fn install_sets(&mut self, plan: &RepairPlan, built: Vec<LevelSet<D>>) -> Vec<(u32, u32)> {
-        let n = self.ground.len();
-        let owner_hosted = matches!(self.blocking, Blocking::OwnerHosted);
-        let parts = Self::split_installs(plan, built, self.levels.len());
-        for ((li, level), (jobs, sets)) in (0u32..).zip(self.levels.iter_mut()).zip(parts) {
-            install_level(level, li, jobs, sets, plan, n, owner_hosted);
-        }
-        self.link_jobs(plan)
     }
 
     /// Host-table finisher for the repair path. Owner-hosted placement was
@@ -1405,31 +1226,23 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
         link_keys
             .into_iter()
-            .filter_map(|(level, key)| {
-                self.levels[level as usize]
-                    .set_by_key
-                    .get(&key)
-                    .map(|&si| (level, si))
-            })
+            .filter_map(|(level, key)| Some((level, self.levels[level as usize].find(key)?)))
             .collect()
     }
 
-    /// Recomputes one set's hyperlinks into its parent (§2.3) — the second
-    /// parallelizable unit: reads the installed levels immutably.
-    fn exec_link(&self, (level, set_idx): (u32, u32)) -> Vec<Vec<RangeId>> {
-        let set = &self.levels[level as usize].sets[set_idx as usize];
-        let pkey = parent_key(set.key, level);
-        let parent_level = &self.levels[level as usize - 1];
-        let parent = &parent_level.sets[parent_level.set_by_key[&pkey] as usize];
-        set.structure
-            .range_ids()
-            .map(|r| parent.structure.conflicts(&set.structure.range(r)))
-            .collect()
-    }
-
-    fn install_links(&mut self, jobs: &[(u32, u32)], downs: Vec<Vec<Vec<RangeId>>>) {
-        for (&(level, set_idx), down) in jobs.iter().zip(downs) {
-            self.levels[level as usize].sets[set_idx as usize].down = down;
+    /// Recomputes the hyperlinks (§2.3) of each `(level, set_index)` set
+    /// into its parent set, which [`link_parents`](Self::link_parents) has
+    /// already resolved.
+    fn relink(&mut self, sets: impl IntoIterator<Item = (u32, u32)>) {
+        for (level, set_idx) in sets {
+            let (lower, upper) = self.levels.split_at_mut(level as usize);
+            let set = &mut upper[0].sets[set_idx as usize];
+            let parent = &lower[level as usize - 1].sets[set.parent as usize];
+            set.down = set
+                .structure
+                .range_ids()
+                .map(|r| parent.structure.conflicts(&set.structure.range(r)))
+                .collect();
         }
     }
 
@@ -1465,7 +1278,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
             bits,
             self.blocking,
             self.levels.len(),
-            |level, key| self.levels[level as usize].set_by_key.get(&key).copied(),
+            |level, key| self.levels[level as usize].find(key),
             |level, set_idx| {
                 let set = &self.levels[level as usize].sets[set_idx as usize];
                 set.structure
@@ -1512,9 +1325,6 @@ impl<D: RangeDetermined> SkipWeb<D> {
         for level in 0..=k {
             let groups = group_by_key(&self.item_bits, level);
             let mut sets = Vec::with_capacity(groups.len());
-            let mut set_of_item = vec![0u32; n];
-            let mut local_of_item = vec![0u32; n];
-            let mut set_by_key = HashMap::with_capacity(groups.len());
             for (key, members) in groups {
                 let items: Vec<D::Item> = members
                     .iter()
@@ -1522,12 +1332,6 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     .collect();
                 let structure = D::build(items);
                 let ground: Vec<u32> = structure.items().iter().map(|it| item_index[it]).collect();
-                let set_idx = sets.len() as u32;
-                for (local, &g) in ground.iter().enumerate() {
-                    set_of_item[g as usize] = set_idx;
-                    local_of_item[g as usize] = local as u32;
-                }
-                set_by_key.insert(key, set_idx);
                 let num_ranges = structure.num_ranges();
                 sets.push(LevelSet {
                     key,
@@ -1550,31 +1354,19 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     range_host: vec![Vec::new(); num_ranges],
                     parent: 0,
                 });
-                set_by_key.insert(0, 0);
             }
-            levels.push(Level {
-                sets,
-                set_of_item,
-                local_of_item,
-                set_by_key,
-            });
+            levels.push(Level { sets });
         }
+        self.levels = levels;
 
         // --- Hyperlinks (§2.3) ----------------------------------------------
-        for level in 1..=k {
-            let (lower, upper) = levels.split_at_mut(level as usize);
-            let parent_level = &lower[level as usize - 1];
-            for set in &mut upper[0].sets {
-                let pkey = parent_key(set.key, level);
-                let parent = &parent_level.sets[parent_level.set_by_key[&pkey] as usize];
-                for r in set.structure.range_ids() {
-                    set.down[r.index()] = parent.structure.conflicts(&set.structure.range(r));
-                }
-            }
-        }
-
-        self.levels = levels;
         self.link_parents();
+        let all_sets: Vec<(u32, u32)> = (1..=k)
+            .flat_map(|level| {
+                (0..self.levels[level as usize].sets.len() as u32).map(move |si| (level, si))
+            })
+            .collect();
+        self.relink(all_sets);
         self.assign_hosts();
     }
 
@@ -1693,14 +1485,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
         }
         self.hosts = (next_host as usize).max(1);
         // Item homes: the host of the item's top-level entry range.
-        let top = self.top_level() as usize;
+        let top = &self.levels[self.top_level() as usize];
         self.host_of_item = (0..self.ground.len())
             .map(|g| {
-                let set = &self.levels[top].sets[self.levels[top].set_of_item[g] as usize];
-                let entry = set
-                    .structure
-                    .entry_of_item(self.levels[top].local_of_item[g] as usize);
-                set.range_host[entry.index()][0]
+                let (set_idx, entry) = self.origin(g);
+                top.sets[set_idx as usize].range_host[entry.index()][0]
             })
             .collect();
     }
@@ -1791,97 +1580,6 @@ impl<D: RangeDetermined> SkipWeb<D> {
         &self.levels
     }
 }
-
-/// The threaded apply variants. Dirty sets hold disjoint item groups and
-/// each rebuild reads the spliced ground set immutably, so the repair's two
-/// heavy stages — set rebuilds and hyperlink recomputes — fan out across a
-/// [`std::thread::scope`] worker pool. The engine applies serially on the
-/// applying host's thread; these variants serve the rebuild-parity suite
-/// and the `repro rebuild` experiment.
-impl<D> SkipWeb<D>
-where
-    D: RangeDetermined + Send + Sync,
-    D::Item: Send + Sync,
-{
-    /// [`apply_insert_batch`](Self::apply_insert_batch) with the dirty-set
-    /// rebuilds fanned out over `threads` scoped workers. `threads <= 1`
-    /// runs on the calling thread. The result is byte-identical either way
-    /// (jobs are deterministic and installed in plan order).
-    pub fn apply_insert_batch_threads(
-        &mut self,
-        items: Vec<(D::Item, u64)>,
-        threads: usize,
-    ) -> Vec<bool> {
-        let (applied, plan) = self.stage_inserts(items, false);
-        if let Some(plan) = plan {
-            self.repair_threads(plan, threads);
-        }
-        applied
-    }
-
-    /// [`apply_remove_batch`](Self::apply_remove_batch) with the dirty-set
-    /// rebuilds fanned out over `threads` scoped workers.
-    pub fn apply_remove_batch_threads(&mut self, items: &[D::Item], threads: usize) -> Vec<bool> {
-        let (applied, plan) = self.stage_removes(items, false);
-        if let Some(plan) = plan {
-            self.repair_threads(plan, threads);
-        }
-        applied
-    }
-
-    fn repair_threads(&mut self, plan: RepairPlan, threads: usize) {
-        if threads <= 1 {
-            return self.repair_serial(plan);
-        }
-        let built = par_map(&plan.builds, threads, |j| self.exec_build(j));
-        let links = self.install_sets_threads(&plan, built, threads);
-        let downs = par_map(&links, threads, |&j| self.exec_link(j));
-        self.install_links(&links, downs);
-        self.link_parents();
-        self.finish_hosts();
-        self.debug_check_invariants();
-    }
-
-    /// [`install_sets`](Self::install_sets) with the per-level merges
-    /// chunked across `threads` scoped workers. Once the build jobs are
-    /// sliced per level, each merge touches only its own level's tables —
-    /// and every level costs roughly `O(n)` (the item-map permutes), so
-    /// the chunks balance. The link-job enumeration stays serial: it is a
-    /// cheap scan of the dirty key set.
-    fn install_sets_threads(
-        &mut self,
-        plan: &RepairPlan,
-        built: Vec<LevelSet<D>>,
-        threads: usize,
-    ) -> Vec<(u32, u32)> {
-        let n = self.ground.len();
-        let owner_hosted = matches!(self.blocking, Blocking::OwnerHosted);
-        let parts = Self::split_installs(plan, built, self.levels.len());
-        let mut work: Vec<InstallWork<'_, D>> = (0u32..)
-            .zip(self.levels.iter_mut())
-            .zip(parts)
-            .map(|((li, level), (jobs, sets))| (li, level, jobs, sets))
-            .collect();
-        let chunk = work.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            for batch in work.chunks_mut(chunk) {
-                scope.spawn(move || {
-                    for (li, level, jobs, sets) in batch.iter_mut() {
-                        let sets = std::mem::take(sets);
-                        install_level(level, *li, jobs, sets, plan, n, owner_hosted);
-                    }
-                });
-            }
-        });
-        drop(work);
-        self.link_jobs(plan)
-    }
-}
-
-/// One level's unit of parallel install work: the level index, the level
-/// itself, and its slice of the repair plan's build jobs with their
-/// rebuilt sets (see `SkipWeb::install_sets_threads`).
-type InstallWork<'a, D> = (u32, &'a mut Level<D>, &'a [BuildJob], Vec<LevelSet<D>>);
 
 /// The single §4 repair walk both cost models drive: enumerates, bottom-up,
 /// one host per range conflicting with the update's probe at every level
@@ -2244,6 +1942,34 @@ mod tests {
             net.max_memory()
         );
         assert!(net.max_congestion() > 0.0);
+    }
+
+    /// Lookups binary-search each level's sets by key and each set's
+    /// `ground` by item index, so `check_invariants` must catch a break in
+    /// either order — and a parent index pointing at the wrong set.
+    #[test]
+    fn check_invariants_rejects_corrupted_webs() {
+        let clean = web(256, 14);
+        assert_eq!(clean.check_invariants(), Ok(()));
+        let level = 3;
+        let mut swapped = clean.clone();
+        swapped.levels[level].sets.swap(0, 1);
+        let mut unsorted = clean.clone();
+        let set = &mut unsorted.levels[level].sets[0];
+        assert!(set.ground.len() >= 2, "level {level} set 0 holds two items");
+        set.ground.swap(0, 1);
+        let mut misparented = clean.clone();
+        let parents = misparented.levels[level - 1].sets.len() as u32;
+        let set = &mut misparented.levels[level].sets[0];
+        set.parent = (set.parent + 1) % parents;
+        for (corrupt, want) in [
+            (swapped, "set keys not strictly ascending"),
+            (unsorted, "ground not strictly ascending"),
+            (misparented, "parent index"),
+        ] {
+            let err = corrupt.check_invariants().unwrap_err();
+            assert!(err.contains(want), "want {want:?}, got {err:?}");
+        }
     }
 
     #[test]

@@ -28,7 +28,9 @@
 //! uniquely determine the whole overlay, so every process of a deployment
 //! rebuilds an identical web locally and the fabric-message decoder
 //! re-attaches the receiving process's own snapshot. Decoders never trust
-//! wire input: malformed bytes yield `None`, not a panic.
+//! wire input: malformed bytes — including a locus (`at`) that does not
+//! resolve in that snapshot, or a scatter outside a report locus — yield
+//! `None`, not a panic.
 
 use std::sync::Arc;
 
@@ -174,6 +176,17 @@ fn decode_engine_msg<D: WireCodec>(
         }
         _ => return None,
     };
+    // A forged locus or scatter must not index out of bounds in the actor
+    // that serves it: `at` must name a range of this snapshot, and a
+    // scatter must sit at a report locus and cover only ranges of its set.
+    let set = snap.resolve(at)?;
+    if let EngineOp::Scatter { req, ranges, .. } = &op {
+        set.structure.report_ranges(RangeId(at.range), req)?;
+        let num_ranges = set.structure.num_ranges();
+        if ranges.iter().any(|r| r.index() >= num_ranges) {
+            return None;
+        }
+    }
     Some(EngineMsg {
         op,
         at,
@@ -334,19 +347,38 @@ mod tests {
         }
     }
 
+    /// A locus of `topo`'s web picked by `seed`: decoding checks every
+    /// envelope's `at` against the snapshot it re-attaches.
+    fn locus_of<D: WireCodec>(topo: &Snapshot<D>, seed: u64) -> GlobalRef {
+        let levels = topo.web.level_structs();
+        let level = seed as usize % levels.len();
+        let sets = &levels[level].sets;
+        let set = (seed / 7) as usize % sets.len();
+        let num_ranges = sets[set].structure.num_ranges() as u64;
+        GlobalRef {
+            level: level as u16,
+            set: set as u32,
+            range: ((seed / 77) % num_ranges) as u32,
+        }
+    }
+
     /// Builds the three op shapes around a request/item pair, exercising
-    /// both update kinds and both update phases.
+    /// both update kinds and both update phases. The scatter is included
+    /// only where the request reports at the chosen locus, since decode
+    /// rejects a scatter anywhere else.
     fn msgs_around<D: WireCodec>(
         topo: &Arc<Snapshot<D>>,
         req: D::Request,
         item: D::Item,
         seed: u64,
     ) -> Vec<FabricMsg<D>> {
-        let at = GlobalRef {
-            level: (seed % 7) as u16,
-            set: (seed % 11) as u32,
-            range: (seed % 13) as u32,
-        };
+        let at = locus_of(topo, seed);
+        let set = topo.resolve(at).expect("locus resolves");
+        let reports = set
+            .structure
+            .report_ranges(RangeId(at.range), &req)
+            .is_some();
+        let num_ranges = set.structure.num_ranges() as u64;
         let client = ClientId(seed);
         let mk = |op: EngineOp<D>| EngineMsg {
             op,
@@ -377,7 +409,9 @@ mod tests {
         }));
         let scatter = mk(EngineOp::Scatter {
             req: req.clone(),
-            ranges: (0..seed % 4).map(|r| RangeId(r as u32)).collect(),
+            ranges: (0..seed % 4)
+                .map(|r| RangeId(((seed + r) % num_ranges) as u32))
+                .collect(),
             of: (seed % 9) as u32,
         });
         let batch = FabricMsg {
@@ -392,7 +426,11 @@ mod tests {
             ],
         };
         let one = |m| FabricMsg { ops: vec![m] };
-        vec![one(query), one(insert), one(remove), one(scatter), batch]
+        let mut msgs = vec![one(query), one(insert), one(remove), batch];
+        if reports {
+            msgs.push(one(scatter));
+        }
+        msgs
     }
 
     fn insert_item_clone<D: WireCodec>(msg: &EngineMsg<D>) -> D::Item {
@@ -594,5 +632,168 @@ mod tests {
             skipweb_net::wire::put_u8(&mut reply, 0); // right_x = None
             assert!(decode_reply::<TrapezoidalMap>(&reply).is_none());
         }
+    }
+
+    /// Encodes a one-op envelope carrying `op` at `at`.
+    fn forged<D: WireCodec>(topo: &Arc<Snapshot<D>>, at: GlobalRef, op: EngineOp<D>) -> Vec<u8> {
+        encode_fabric_msg(&FabricMsg {
+            ops: vec![EngineMsg {
+                op,
+                at,
+                client: ClientId(1),
+                corr: 2,
+                hops: 3,
+                snap: Arc::clone(topo),
+            }],
+        })
+    }
+
+    /// Every op shape at a locus the snapshot does not have — past the
+    /// top level, past a level's last set, past a set's last range —
+    /// decodes to `None` instead of reaching an actor's indexing.
+    fn assert_unresolvable_loci_rejected<D: WireCodec>(
+        topo: &Arc<Snapshot<D>>,
+        req: D::Request,
+        item: D::Item,
+    ) {
+        let levels = topo.web.level_structs();
+        let top = levels.len() - 1;
+        let sets = levels[top].sets.len() as u32;
+        let ranges = levels[0].sets[0].structure.num_ranges() as u32;
+        let bad = [
+            GlobalRef {
+                level: levels.len() as u16,
+                set: 0,
+                range: 0,
+            },
+            GlobalRef {
+                level: top as u16,
+                set: sets,
+                range: 0,
+            },
+            GlobalRef {
+                level: 0,
+                set: 0,
+                range: ranges,
+            },
+            GlobalRef {
+                level: u16::MAX,
+                set: u32::MAX,
+                range: u32::MAX,
+            },
+        ];
+        for at in bad {
+            let ops = [
+                EngineOp::Query {
+                    req: req.clone(),
+                    gather: true,
+                },
+                EngineOp::Update(UpdateOp {
+                    kind: UpdateKind::Insert { bits: 5 },
+                    item: item.clone(),
+                    phase: UpdatePhase::Route,
+                    op_id: 7,
+                }),
+                EngineOp::Update(UpdateOp {
+                    kind: UpdateKind::Remove,
+                    item: item.clone(),
+                    phase: UpdatePhase::Repair {
+                        cursor: 0,
+                        trail: vec![HostId(0)],
+                    },
+                    op_id: 8,
+                }),
+                EngineOp::Scatter {
+                    req: req.clone(),
+                    ranges: vec![RangeId(0)],
+                    of: 1,
+                },
+            ];
+            for op in ops {
+                let bytes = forged(topo, at, op);
+                assert!(
+                    decode_fabric_msg::<D>(&bytes, topo).is_none(),
+                    "{at:?} decoded"
+                );
+            }
+        }
+    }
+
+    /// A scatter at level-0 range 0 never decodes over ranges past its
+    /// set's end, and — when `req` does not report there (`reports` is
+    /// false) — not even over in-bounds ones.
+    fn assert_scatter_rejected<D: WireCodec>(
+        topo: &Arc<Snapshot<D>>,
+        req: D::Request,
+        reports: bool,
+    ) {
+        let at = GlobalRef {
+            level: 0,
+            set: 0,
+            range: 0,
+        };
+        let structure = &topo.resolve(at).expect("locus resolves").structure;
+        assert_eq!(structure.report_ranges(RangeId(0), &req).is_some(), reports);
+        let end = structure.num_ranges() as u32;
+        let mut bad = vec![vec![RangeId(end)], vec![RangeId(0), RangeId(u32::MAX)]];
+        if !reports {
+            bad.push(vec![RangeId(0)]);
+        }
+        for ranges in bad {
+            let op = EngineOp::Scatter {
+                req: req.clone(),
+                ranges,
+                of: 2,
+            };
+            assert!(decode_fabric_msg::<D>(&forged(topo, at, op), topo).is_none());
+        }
+    }
+
+    /// Forged frames of every shape decode to `None`: loci that do not
+    /// resolve in the receiving snapshot, scatters on structures (or
+    /// requests) that never report, and scatters naming ranges past their
+    /// set's end.
+    #[test]
+    fn forged_loci_and_scatters_never_decode() {
+        let list = topo::<SortedLinkedList>((0..40).collect());
+        assert_unresolvable_loci_rejected::<SortedLinkedList>(&list, 7, 8);
+        assert_scatter_rejected::<SortedLinkedList>(&list, 7, false);
+
+        let segs = vec![Segment::new((0, 0), (10, 1)), Segment::new((2, 5), (9, 6))];
+        let trap = topo::<TrapezoidalMap>(segs);
+        let seg = Segment::new((20, 0), (30, 1));
+        assert_unresolvable_loci_rejected::<TrapezoidalMap>(&trap, (4, 3), seg);
+        assert_scatter_rejected::<TrapezoidalMap>(&trap, (4, 3), false);
+
+        let quad = topo::<CompressedQuadtree<2>>(
+            (0..16u32).map(|i| PointKey::new([i * 7, i * 13])).collect(),
+        );
+        let locate = QuadtreeRequest::Locate(PointKey::new([3, 3]));
+        let point = PointKey::new([1, 1]);
+        assert_unresolvable_loci_rejected::<CompressedQuadtree<2>>(&quad, locate, point);
+        assert_scatter_rejected::<CompressedQuadtree<2>>(&quad, locate, false);
+        let boxed = QuadtreeRequest::InBox {
+            lo: [0, 0],
+            hi: [200, 200],
+        };
+        assert_scatter_rejected::<CompressedQuadtree<2>>(&quad, boxed, true);
+        // Descents end on nodes, so a box scatter at a link locus is forged.
+        let link = GlobalRef {
+            level: 0,
+            set: 0,
+            range: quad.web.base().num_nodes() as u32,
+        };
+        let op = EngineOp::Scatter {
+            req: boxed,
+            ranges: vec![RangeId(0)],
+            of: 1,
+        };
+        assert!(decode_fabric_msg(&forged(&quad, link, op), &quad).is_none());
+
+        let trie = topo::<CompressedTrie>(vec!["alpha".into(), "alps".into(), "beta".into()]);
+        assert_unresolvable_loci_rejected::<CompressedTrie>(&trie, "al".into(), "gamma".into());
+        assert_scatter_rejected::<CompressedTrie>(&trie, "al".into(), true);
+        // An off-trie prefix never reports.
+        assert_scatter_rejected::<CompressedTrie>(&trie, "zz".into(), false);
     }
 }

@@ -53,7 +53,6 @@ pub mod metrics;
 pub mod runtime;
 pub mod sim;
 pub mod tcp;
-pub mod topology;
 pub mod transport;
 pub mod wan;
 pub mod wire;
