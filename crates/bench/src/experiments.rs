@@ -1502,7 +1502,10 @@ pub fn store(ns: &[usize], hosts: usize, gets: usize, seed: u64) -> Table {
 /// (`apply_insert_batch` / `apply_remove_batch`), plus their ratio. The two
 /// paths are timed back to back within each repetition and the medians
 /// reported, so load spikes hit both columns alike instead of skewing the
-/// ratio. Emitted as the committed `BENCH_rebuild.json` artifact.
+/// ratio. `copy_us` is the median time to clone and drop the base web: the
+/// copy and free an engine turn that applies a write pays on top of
+/// `incr_us`, because the published snapshot shares the web it changes.
+/// Emitted as the committed `BENCH_rebuild.json` artifact.
 pub fn rebuild(
     ns: &[usize],
     trap_n: usize,
@@ -1523,6 +1526,7 @@ pub fn rebuild(
             "full_us",
             "incr_us",
             "speedup",
+            "copy_us",
         ],
     );
     let max_batch = batch_sizes.iter().copied().max().unwrap_or(0);
@@ -1603,7 +1607,11 @@ fn rebuild_rows<D>(
         let mut full_rem = Vec::with_capacity(reps);
         let mut incr_ins = Vec::with_capacity(reps);
         let mut incr_rem = Vec::with_capacity(reps);
+        let mut copy = Vec::with_capacity(reps);
         for rep in 0..reps {
+            let start = Instant::now();
+            drop(std::hint::black_box(base.clone()));
+            copy.push(start.elapsed().as_secs_f64());
             let mut oracle = base.clone();
             let start = Instant::now();
             oracle.apply_insert_batch_full(inserts.clone());
@@ -1628,6 +1636,7 @@ fn rebuild_rows<D>(
         }
         let full_churn: Vec<f64> = full_ins.iter().zip(&full_rem).map(|(a, b)| a + b).collect();
         let incr_churn: Vec<f64> = incr_ins.iter().zip(&incr_rem).map(|(a, b)| a + b).collect();
+        let copy_us = median_us(&copy);
         for (op, full, incr) in [
             ("insert", &full_ins, &incr_ins),
             ("remove", &full_rem, &incr_rem),
@@ -1642,6 +1651,7 @@ fn rebuild_rows<D>(
                 f2(full_us),
                 f2(incr_us),
                 f2(full_us / incr_us.max(f64::MIN_POSITIVE)),
+                f2(copy_us),
             ]);
         }
     }
@@ -1864,7 +1874,9 @@ mod tests {
         }
         for row in &t.rows {
             assert!(
-                row[4].parse::<f64>().unwrap() > 0.0 && row[5].parse::<f64>().unwrap() > 0.0,
+                [4, 5, 7]
+                    .iter()
+                    .all(|&c| row[c].parse::<f64>().unwrap() > 0.0),
                 "latencies must be positive ({row:?})"
             );
         }

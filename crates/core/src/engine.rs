@@ -913,26 +913,33 @@ impl<D: Routable + Send + Sync + 'static> Shared<D> {
     /// every host the membership reports as dead or decommissioned, with a
     /// bumped snapshot version. The caller must hold the state lock, so
     /// publish order equals apply order.
-    fn republish(&self, st: &EngineState, web: Option<Arc<SkipWeb<D>>>, membership: &Membership) {
+    ///
+    /// Returns the retired snapshot. When no in-flight message still holds
+    /// it, dropping it frees a whole web, O(n); a caller on the write path
+    /// drops it only after releasing the state lock and sending its
+    /// replies, so neither the writer's latency nor the `insert`/`remove`
+    /// wrappers' rng draw under the state lock waits on that free.
+    fn republish(
+        &self,
+        st: &EngineState,
+        web: Option<Arc<SkipWeb<D>>>,
+        membership: &Membership,
+    ) -> Arc<Snapshot<D>> {
         let mut placement = st.placement.clone();
         let gone = membership
             .dead_hosts()
             .into_iter()
             .chain(membership.decommissioned_hosts());
         placement.excluded.extend(gone.map(|h| h.0));
-        let retired = {
-            let mut current = self.snapshot.lock();
-            let next = Snapshot {
-                web: web.unwrap_or_else(|| Arc::clone(&current.web)),
-                placement,
-                version: current.version + 1,
-            };
-            std::mem::replace(&mut *current, Arc::new(next))
+        // The swap is all the snapshot lock covers; the retired snapshot
+        // leaves with the caller.
+        let mut current = self.snapshot.lock();
+        let next = Snapshot {
+            web: web.unwrap_or_else(|| Arc::clone(&current.web)),
+            placement,
+            version: current.version + 1,
         };
-        // Dropped only after the snapshot lock is released: when no
-        // in-flight message still holds it, this frees an O(n) web, and
-        // submits must not wait on that.
-        drop(retired);
+        std::mem::replace(&mut *current, Arc::new(next))
     }
 }
 
@@ -1304,6 +1311,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
             ops.push((u.kind, u.item));
         }
         let mut outcomes: Vec<bool> = vec![false; n];
+        let mut retired = None;
         {
             let st = &mut *self.shared.state.lock();
             // The web this turn applies to. The published snapshot shares
@@ -1401,7 +1409,7 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                 // Publish while still holding the state lock so snapshot
                 // order equals apply order; the snapshot lock itself is
                 // only held for the pointer swap.
-                self.shared.republish(st, Some(web), membership);
+                retired = Some(self.shared.republish(st, Some(web), membership));
             }
         }
         for (i, (client, corr, hops, _)) in metas.into_iter().enumerate() {
@@ -1416,6 +1424,9 @@ impl<D: Routable + Send + Sync + 'static> EngineActor<D> {
                 },
             );
         }
+        // Freed last: outside the state lock and after every reply is sent
+        // (see `Shared::republish`).
+        drop(retired);
     }
 }
 

@@ -3,6 +3,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::iter::Peekable;
+use std::ops::Index;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -13,6 +14,118 @@ use skipweb_structures::traits::{RangeDetermined, RangeId};
 
 use crate::levels::{draw_bits, group_by_key, level_count, parent_key, set_key};
 use crate::placement::{Blocking, Replication};
+
+/// One list per range of a set, stored flat: row `r` is
+/// `data[start[r]..start[r + 1]]`. A set's rows cost two heap blocks
+/// however many ranges it has (one when every row is empty), so cloning
+/// or dropping a web allocates per set, not per range.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Rows<T> {
+    start: Vec<u32>,
+    data: Vec<T>,
+}
+
+impl<T> Rows<T> {
+    /// No rows yet, with room for `rows` rows holding `values` in all.
+    fn with_capacity(rows: usize, values: usize) -> Self {
+        let mut start = Vec::with_capacity(rows + 1);
+        start.push(0);
+        Rows {
+            start,
+            data: Vec::with_capacity(values),
+        }
+    }
+
+    /// `rows` empty rows.
+    fn empty(rows: usize) -> Self {
+        Rows {
+            start: vec![0; rows + 1],
+            data: Vec::new(),
+        }
+    }
+
+    /// Number of rows.
+    fn len(&self) -> usize {
+        self.start.len() - 1
+    }
+
+    /// The rows in order.
+    fn iter(&self) -> impl Iterator<Item = &[T]> {
+        self.start
+            .windows(2)
+            .map(|w| &self.data[w[0] as usize..w[1] as usize])
+    }
+
+    /// Appends one row.
+    fn push_row(&mut self, row: impl IntoIterator<Item = T>) {
+        self.data.extend(row);
+        self.start.push(self.data.len() as u32);
+    }
+
+    /// Drops every row, keeping both buffers for refilling.
+    fn clear(&mut self) {
+        self.start.truncate(1);
+        self.data.clear();
+    }
+
+    /// Every value of every row, in row order.
+    fn values_mut(&mut self) -> &mut [T] {
+        &mut self.data
+    }
+
+    /// Why these rows do not describe `rows` well-formed rows over `data`,
+    /// or `None` when they do.
+    fn malformed(&self, rows: usize) -> Option<String> {
+        if self.start.len() != rows + 1 {
+            return Some(format!("{} row starts for {rows} rows", self.start.len()));
+        }
+        if self.start[0] != 0 {
+            return Some(format!("first row starts at {}", self.start[0]));
+        }
+        if let Some(r) = self.start.windows(2).position(|w| w[0] > w[1]) {
+            return Some(format!("row {r} ends before it starts"));
+        }
+        let end = self.start[rows] as usize;
+        (end != self.data.len()).then(|| format!("rows end at {end} of {} values", self.data.len()))
+    }
+}
+
+impl<T: Copy> Rows<T> {
+    /// Cuts every row to at most its first `max` values, compacting in
+    /// place.
+    fn truncate_rows(&mut self, max: usize) {
+        let mut write = 0;
+        for r in 0..self.len() {
+            let (s, e) = (self.start[r] as usize, self.start[r + 1] as usize);
+            let keep = (e - s).min(max);
+            self.data.copy_within(s..s + keep, write);
+            self.start[r] = write as u32;
+            write += keep;
+        }
+        let rows = self.len();
+        self.start[rows] = write as u32;
+        self.data.truncate(write);
+    }
+}
+
+impl<T, R: IntoIterator<Item = T>> FromIterator<R> for Rows<T> {
+    fn from_iter<I: IntoIterator<Item = R>>(rows: I) -> Self {
+        let rows = rows.into_iter();
+        let mut out = Rows::with_capacity(rows.size_hint().0, rows.size_hint().0);
+        for row in rows {
+            out.push_row(row);
+        }
+        out
+    }
+}
+
+impl<T> Index<usize> for Rows<T> {
+    type Output = [T];
+
+    fn index(&self, r: usize) -> &[T] {
+        &self.data[self.start[r] as usize..self.start[r + 1] as usize]
+    }
+}
 
 /// One level-`ℓ` set `S_b` with its structure `D(S_b)`, hyperlinks, and
 /// host placement.
@@ -26,12 +139,12 @@ pub(crate) struct LevelSet<D: RangeDetermined> {
     pub ground: Vec<u32>,
     /// Per range: hyperlinks to the conflicting ranges `C(Q, S_{b'})` in the
     /// parent set one level down (§2.3). Empty at level 0.
-    pub down: Vec<Vec<RangeId>>,
+    pub down: Rows<RangeId>,
     /// Per range: the hosts storing a copy of it. Owner-hosted placement
     /// keeps a single copy; bucketed placement replicates non-basic ranges
     /// onto every block host whose cone they belong to (§2.4.1 notes that
     /// "copies of some of these ranges may be stored on multiple hosts").
-    pub range_host: Vec<Vec<HostId>>,
+    pub range_host: Rows<HostId>,
     /// Index of the parent set one level down — the set this one was
     /// sampled from, which its `down` hyperlinks point into (§2.3). 0 at
     /// level 0.
@@ -91,16 +204,15 @@ struct BuildJob {
 /// owner-hosted placement sweep of the full-rebuild path. (The repair
 /// path never runs it: rebuilt sets are born with owner primaries and
 /// kept sets have theirs remapped in place during the install.)
-/// Clear-and-push keeps each copy list's buffer across reassignments.
+/// Clear-and-push keeps each set's row buffers across reassignments.
 fn owner_host_sweep<D: RangeDetermined>(levels: &mut [Level<D>]) {
     for level in levels {
         for set in &mut level.sets {
+            set.range_host.clear();
             for r in set.structure.range_ids() {
                 let owner_local = set.structure.owner(r);
                 let owner_ground = set.ground.get(owner_local).copied().unwrap_or(0);
-                let copies = &mut set.range_host[r.index()];
-                copies.clear();
-                copies.push(HostId(owner_ground));
+                set.range_host.push_row([HostId(owner_ground)]);
             }
         }
     }
@@ -141,12 +253,10 @@ fn install_level<'a, D: RangeDetermined>(
             // along with the ground entries; replicas beyond the primary
             // are ring successors of stale host ids, dropped here and
             // regrown by `extend_replicas`.
-            for copies in &mut set.range_host {
-                copies.truncate(1);
-                if let Some(primary) = copies.first_mut() {
-                    primary.0 = plan.remap[primary.0 as usize];
-                    debug_assert!(primary.0 != u32::MAX);
-                }
+            set.range_host.truncate_rows(1);
+            for primary in set.range_host.values_mut() {
+                primary.0 = plan.remap[primary.0 as usize];
+                debug_assert!(primary.0 != u32::MAX);
             }
         }
         sets.push(set);
@@ -450,7 +560,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
         // level below (the block holding the query's cone stores the whole
         // stratum, §2.4.1). Defer their host resolution until that anchor is
         // known, then charge the co-located copy when one exists.
-        let mut pending: Vec<Vec<HostId>> = Vec::new();
+        let mut pending: Vec<&[HostId]> = Vec::new();
         loop {
             let set = &self.levels[level].sets[set_idx];
             let path = set.structure.search_path(entry, q);
@@ -471,7 +581,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 }
             } else {
                 for r in &path {
-                    pending.push(set.range_host[r.index()].clone());
+                    pending.push(&set.range_host[r.index()]);
                 }
             }
             per_level_touches.push(path.len() as u32);
@@ -747,11 +857,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
         let old_items = std::mem::take(&mut self.ground);
         let old_bits = std::mem::take(&mut self.item_bits);
         for (item, bits) in old_items.into_iter().zip(old_bits) {
-            while fresh_iter
-                .peek()
-                .is_some_and(|(f, _)| D::canonical_cmp(f, &item).is_lt())
+            while let Some((f, fb)) =
+                fresh_iter.next_if(|(f, _)| D::canonical_cmp(f, &item).is_lt())
             {
-                let (f, fb) = fresh_iter.next().expect("peeked");
                 dirty_bits.push(fb);
                 ground.push(f);
                 bits_vec.push(fb);
@@ -964,7 +1072,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
     /// (§2.1–§2.4), returning the first violation as a description.
     ///
     /// * **Shape** — `item_bits` matches the ground set; the level table has
-    ///   exactly `level_count(n) + 1` levels.
+    ///   exactly `level_count(n) + 1` levels; each set's `down` and
+    ///   `range_host` rows are well formed: one start per range plus one,
+    ///   starting at 0, non-decreasing, ending at the value count.
     /// * **Membership** — at every level, each item sits in exactly the set
     ///   keyed by its bit prefix (`set_key(bits, ℓ)`), which makes level
     ///   membership monotone in level (a level-`ℓ` set key extends the
@@ -1040,10 +1150,13 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     ));
                 }
                 let num_ranges = set.structure.num_ranges();
-                if set.down.len() != num_ranges || set.range_host.len() != num_ranges {
-                    return Err(format!(
-                        "level {li} set {si}: down/range_host not sized to {num_ranges} ranges"
-                    ));
+                for (name, bad) in [
+                    ("down", set.down.malformed(num_ranges)),
+                    ("range_host", set.range_host.malformed(num_ranges)),
+                ] {
+                    if let Some(bad) = bad {
+                        return Err(format!("level {li} set {si}: {name} row starts: {bad}"));
+                    }
                 }
                 for (local, &g) in set.ground.iter().enumerate() {
                     let g = g as usize;
@@ -1172,17 +1285,17 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 .map(|r| {
                     let owner_local = structure.owner(r);
                     let owner_ground = job.members.get(owner_local).copied().unwrap_or(0);
-                    vec![HostId(owner_ground)]
+                    [HostId(owner_ground)]
                 })
                 .collect()
         } else {
-            vec![Vec::new(); num_ranges]
+            Rows::empty(num_ranges)
         };
         LevelSet {
             key: job.key,
             structure,
             ground: job.members.clone(),
-            down: vec![Vec::new(); num_ranges],
+            down: Rows::empty(num_ranges),
             range_host,
             parent: 0,
         }
@@ -1238,11 +1351,11 @@ impl<D: RangeDetermined> SkipWeb<D> {
             let (lower, upper) = self.levels.split_at_mut(level as usize);
             let set = &mut upper[0].sets[set_idx as usize];
             let parent = &lower[level as usize - 1].sets[set.parent as usize];
-            set.down = set
-                .structure
-                .range_ids()
-                .map(|r| parent.structure.conflicts(&set.structure.range(r)))
-                .collect();
+            set.down.clear();
+            for r in set.structure.range_ids() {
+                set.down
+                    .push_row(parent.structure.conflicts(&set.structure.range(r)));
+            }
         }
     }
 
@@ -1284,7 +1397,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 set.structure
                     .conflicts(&probe_range)
                     .into_iter()
-                    .map(|r| set.range_host[r.index()].clone())
+                    .map(|r| set.range_host[r.index()].to_vec())
                     .collect()
             },
             |_| true,
@@ -1337,8 +1450,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     key,
                     structure,
                     ground,
-                    down: vec![Vec::new(); num_ranges],
-                    range_host: vec![Vec::new(); num_ranges],
+                    down: Rows::empty(num_ranges),
+                    range_host: Rows::empty(num_ranges),
                     parent: 0,
                 });
             }
@@ -1350,8 +1463,8 @@ impl<D: RangeDetermined> SkipWeb<D> {
                     key: 0,
                     structure,
                     ground: Vec::new(),
-                    down: vec![Vec::new(); num_ranges],
-                    range_host: vec![Vec::new(); num_ranges],
+                    down: Rows::empty(num_ranges),
+                    range_host: Rows::empty(num_ranges),
                     parent: 0,
                 });
             }
@@ -1399,9 +1512,14 @@ impl<D: RangeDetermined> SkipWeb<D> {
         if k <= 1 {
             return;
         }
+        let mut copies: Vec<HostId> = Vec::with_capacity(k);
         for level in &mut self.levels {
             for set in &mut level.sets {
-                for copies in &mut set.range_host {
+                let old = &set.range_host;
+                let mut rows = Rows::with_capacity(old.len(), old.len() * k);
+                for row in old.iter() {
+                    copies.clear();
+                    copies.extend_from_slice(row);
                     let primary = copies[0].0;
                     let mut next = primary;
                     while copies.len() < k {
@@ -1414,7 +1532,9 @@ impl<D: RangeDetermined> SkipWeb<D> {
                             copies.push(candidate);
                         }
                     }
+                    rows.push_row(copies.iter().copied());
                 }
+                set.range_host = rows;
             }
         }
     }
@@ -1441,6 +1561,7 @@ impl<D: RangeDetermined> SkipWeb<D> {
                 // follows the structure's canonical layout.
                 let mut order: Vec<RangeId> = set.structure.range_ids().collect();
                 order.sort_by_key(|r| (set.structure.owner(*r), r.index()));
+                let mut block_of = vec![HostId(0); order.len()];
                 for r in order {
                     if fill == block_size || !started {
                         if started {
@@ -1449,9 +1570,10 @@ impl<D: RangeDetermined> SkipWeb<D> {
                         started = true;
                         fill = 0;
                     }
-                    set.range_host[r.index()] = vec![HostId(next_host)];
+                    block_of[r.index()] = HostId(next_host);
                     fill += 1;
                 }
+                set.range_host = block_of.into_iter().map(|h| [h]).collect();
             }
             if started {
                 next_host += 1; // close the level's last open block
@@ -1461,26 +1583,27 @@ impl<D: RangeDetermined> SkipWeb<D> {
         // copy of a range they hyperlink to one level down (so each block's
         // whole non-basic cone is co-located with it, as §2.4.1 describes).
         // Ascending level order guarantees the level below is already placed.
+        let mut hosts: Vec<HostId> = Vec::new();
         for level_idx in 1..self.levels.len() {
             if self.blocking.is_basic(level_idx as u32) {
                 continue;
             }
-            for set_idx in 0..self.levels[level_idx].sets.len() {
-                let parent_idx = self.levels[level_idx].sets[set_idx].parent as usize;
-                for r_idx in 0..self.levels[level_idx].sets[set_idx].range_host.len() {
-                    let mut hosts: Vec<HostId> = Vec::new();
-                    for t in &self.levels[level_idx].sets[set_idx].down[r_idx] {
-                        hosts.extend(
-                            self.levels[level_idx - 1].sets[parent_idx].range_host[t.index()]
-                                .iter()
-                                .copied(),
-                        );
+            let (lower, upper) = self.levels.split_at_mut(level_idx);
+            let below = &lower[level_idx - 1];
+            for set in &mut upper[0].sets {
+                let parent = &below.sets[set.parent as usize];
+                let mut rows = Rows::with_capacity(set.down.len(), set.down.len());
+                for cone in set.down.iter() {
+                    hosts.clear();
+                    for t in cone {
+                        hosts.extend_from_slice(&parent.range_host[t.index()]);
                     }
                     hosts.sort_unstable();
                     hosts.dedup();
                     debug_assert!(!hosts.is_empty(), "non-basic range must have a cone");
-                    self.levels[level_idx].sets[set_idx].range_host[r_idx] = hosts;
+                    rows.push_row(hosts.iter().copied());
                 }
+                set.range_host = rows;
             }
         }
         self.hosts = (next_host as usize).max(1);
@@ -1809,9 +1932,10 @@ mod tests {
         let plain = web(64, 5);
         for (level, plain_level) in w.level_structs().iter().zip(plain.level_structs()) {
             for (set, plain_set) in level.sets.iter().zip(&plain_level.sets) {
-                for (copies, plain_copies) in set.range_host.iter().zip(&plain_set.range_host) {
+                for (copies, plain_copies) in set.range_host.iter().zip(plain_set.range_host.iter())
+                {
                     assert!(copies.len() >= 3, "range has {} copies", copies.len());
-                    let mut unique = copies.clone();
+                    let mut unique = copies.to_vec();
                     unique.sort_unstable();
                     unique.dedup();
                     assert_eq!(unique.len(), copies.len(), "replicas must be distinct");
@@ -1841,7 +1965,7 @@ mod tests {
             .build();
         for level in w.level_structs() {
             for set in &level.sets {
-                for copies in &set.range_host {
+                for copies in set.range_host.iter() {
                     assert!(copies.len() <= w.hosts());
                 }
             }
@@ -1946,7 +2070,8 @@ mod tests {
 
     /// Lookups binary-search each level's sets by key and each set's
     /// `ground` by item index, so `check_invariants` must catch a break in
-    /// either order — and a parent index pointing at the wrong set.
+    /// either order — and a parent index pointing at the wrong set, and a
+    /// row start that would slice a set's flat rows out of order.
     #[test]
     fn check_invariants_rejects_corrupted_webs() {
         let clean = web(256, 14);
@@ -1962,10 +2087,21 @@ mod tests {
         let parents = misparented.levels[level - 1].sets.len() as u32;
         let set = &mut misparented.levels[level].sets[0];
         set.parent = (set.parent + 1) % parents;
+        let mut misrowed = clean.clone();
+        let hosts = &mut misrowed.levels[level].sets[0].range_host;
+        assert!(
+            hosts.len() >= 2 && hosts[0].len() == 1,
+            "one copy per range"
+        );
+        hosts.start.swap(1, 2);
         for (corrupt, want) in [
             (swapped, "set keys not strictly ascending"),
             (unsorted, "ground not strictly ascending"),
             (misparented, "parent index"),
+            (
+                misrowed,
+                "range_host row starts: row 1 ends before it starts",
+            ),
         ] {
             let err = corrupt.check_invariants().unwrap_err();
             assert!(err.contains(want), "want {want:?}, got {err:?}");
